@@ -141,7 +141,6 @@ func benchTorusMatch(b *testing.B, n, workers int) {
 	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
-	tor.SetWorkers(workers)
 	pl := pool.New(workers)
 	defer pl.Close()
 	tor.SetPool(pl)
@@ -160,51 +159,6 @@ func benchTorusMatch(b *testing.B, n, workers int) {
 
 func BenchmarkTorusMatchN1048576(b *testing.B)         { benchTorusMatch(b, 1048576, 0) }
 func BenchmarkTorusMatchN1048576Workers1(b *testing.B) { benchTorusMatch(b, 1048576, 1) }
-
-// BenchmarkTorusWalkClusteredN1048576 measures the matching phase when the
-// whole population crowds into one small patch — cell occupancy blows past
-// the speculative walk's density gate, so every walk must take the serial
-// fallback. This is the workload that keeps the gate honest: if the gate
-// ever mis-routes a dense population through speculation, the claim-array
-// contention and repair pass show up here first.
-func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
-	const n = 1 << 20
-	tor, err := match.NewTorus(1 / math.Sqrt(float64(n)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pop := population.New(n)
-	tor.Bind(pop, prng.New(1))
-	// Pile everyone into a radius-0.05 patch around the center: ~100
-	// agents per grid cell, far beyond the gate's per-cell ceiling, while
-	// the bounded candidate lists keep the serial walk linear.
-	pos := tor.Positions().Slice()
-	mut := prng.New(9)
-	for i := range pos {
-		pos[i] = tor.PatchPoint(population.Point{X: 0.5, Y: 0.5}, 0.05, mut)
-	}
-	workers := runtime.NumCPU()
-	tor.SetWorkers(workers)
-	pl := pool.New(workers)
-	defer pl.Close()
-	tor.SetPool(pl)
-	src := prng.New(2)
-	var p match.Pairing
-	p.SetPool(pl)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tor.SampleMatch(pop, src, &p)
-	}
-	b.StopTimer()
-	st := tor.PipelineStats()
-	if st.SpecWalks > 0 {
-		b.Fatalf("density gate failed: %d of %d walks speculated on a clustered population", st.SpecWalks, st.Samples)
-	}
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(n)*float64(b.N)/sec, "agentsteps/s")
-	}
-}
 
 // churnStepper is a synthetic apply-heavy program: each agent dies with
 // probability 1/4 and splits with probability 1/4 every round, so about

@@ -26,18 +26,6 @@ const (
 	bytesNoiseFloor   = 65536.0 // bytes/round below this are ignored
 )
 
-// Conflict-rate warnings guard the speculative greedy walk: the rate is a
-// pure function of the seeded workload (machine-independent, like allocation
-// counts), so growth means a code change shifted candidate overlap or the
-// claim heuristic — eroding the walk's parallel scaling long before wall
-// time shows it on a small CI box. Warn-only, because baselines recorded
-// before the field existed carry zeros.
-const (
-	conflictWarnFraction = 0.20  // relative growth over a measurable baseline
-	conflictNoiseFloor   = 0.005 // rates below this are jitter on tiny deltas
-	conflictAbsCeiling   = 0.05  // absolute rate that warns even from a ~0 baseline
-)
-
 // loadReport parses one -json document from disk.
 func loadReport(path string) (*jsonReport, error) {
 	data, err := os.ReadFile(path)
@@ -171,10 +159,9 @@ func diffBenchmarks(w io.Writer, oldB, newB []jsonBenchmark) []string {
 		fmt.Fprintf(w, "bench %-24s %14.0f -> %14.0f agentsteps/s (%+.1f%%)\n",
 			ob.Name, ob.AgentStepsPerSec, nb.AgentStepsPerSec, (ratio-1)*100)
 		if nb.WalkNSPerRound > 0 {
-			fmt.Fprintf(w, "      %-24s phases/round: bucket %s scatter %s cand %s walk %s  conflict %.4f -> %.4f\n",
+			fmt.Fprintf(w, "      %-24s phases/round: bucket %s scatter %s cand %s walk %s\n",
 				"", fmtNS(nb.BucketNSPerRound), fmtNS(nb.ScatterNSPerRound),
-				fmtNS(nb.CandNSPerRound), fmtNS(nb.WalkNSPerRound),
-				ob.WalkConflictRate, nb.WalkConflictRate)
+				fmtNS(nb.CandNSPerRound), fmtNS(nb.WalkNSPerRound))
 		}
 		if ratio < 1-perfWarnFraction {
 			warnings = append(warnings, fmt.Sprintf(
@@ -185,8 +172,6 @@ func diffBenchmarks(w io.Writer, oldB, newB []jsonBenchmark) []string {
 			allocWarning(ob.Name, "allocs/round", ob.AllocsPerRound, nb.AllocsPerRound, allocsNoiseFloor)...)
 		warnings = append(warnings,
 			allocWarning(ob.Name, "bytes/round", ob.BytesPerRound, nb.BytesPerRound, bytesNoiseFloor)...)
-		warnings = append(warnings,
-			conflictWarning(ob.Name, ob.WalkConflictRate, nb.WalkConflictRate)...)
 	}
 	return warnings
 }
@@ -204,28 +189,4 @@ func allocWarning(name, metric string, old, cur, floor float64) []string {
 	return []string{fmt.Sprintf(
 		"benchmark %s %s grew %.0f%% (%.0f -> %.0f); per-round garbage crept back in — investigate before merging",
 		name, metric, (cur/old-1)*100, old, cur)}
-}
-
-// conflictWarning reports a speculative-walk conflict-rate regression: from
-// a measurable baseline, relative growth beyond conflictWarnFraction; from a
-// zero/noise baseline (including baselines that predate the field), only an
-// absolute rate beyond conflictAbsCeiling.
-func conflictWarning(name string, old, cur float64) []string {
-	if cur <= conflictNoiseFloor {
-		return nil
-	}
-	if old <= conflictNoiseFloor {
-		if cur <= conflictAbsCeiling {
-			return nil
-		}
-		return []string{fmt.Sprintf(
-			"benchmark %s walk_conflict_rate reached %.4f from a ~zero baseline; speculative repair is eating the walk's parallelism — investigate before merging",
-			name, cur)}
-	}
-	if cur/old <= 1+conflictWarnFraction {
-		return nil
-	}
-	return []string{fmt.Sprintf(
-		"benchmark %s walk_conflict_rate grew %.0f%% (%.4f -> %.4f); speculative repair is eating the walk's parallelism — investigate before merging",
-		name, (cur/old-1)*100, old, cur)}
 }

@@ -254,51 +254,6 @@ func TestDiffAllocRegressionWarnsOnly(t *testing.T) {
 	}
 }
 
-// TestDiffConflictRateWarnsOnly: walk_conflict_rate growth warns (the
-// speculative walk's repair cost is machine-independent) but never fails,
-// and the gate stays silent for pre-metric baselines with a modest absolute
-// rate, sub-noise rates, and growth inside the tolerance.
-func TestDiffConflictRateWarnsOnly(t *testing.T) {
-	var sb strings.Builder
-	bench := func(rate float64) jsonBenchmark {
-		return jsonBenchmark{Name: "x", AgentStepsPerSec: 100,
-			WalkNSPerRound: 1e6, WalkConflictRate: rate}
-	}
-	warns := diffBenchmarks(&sb, []jsonBenchmark{bench(0.01)}, []jsonBenchmark{bench(0.02)})
-	if len(warns) != 1 || !strings.Contains(warns[0], "walk_conflict_rate") {
-		t.Fatalf("2x conflict growth produced %v, want one walk_conflict_rate warning", warns)
-	}
-	warns = diffBenchmarks(&sb, []jsonBenchmark{bench(0)}, []jsonBenchmark{bench(0.10)})
-	if len(warns) != 1 {
-		t.Fatalf("high absolute rate from zero baseline produced %v, want one warning", warns)
-	}
-
-	// Warn-only: a whole-document diff with the regression still passes.
-	oldRep := baseReport()
-	oldRep.Benchmarks[0].WalkNSPerRound = 1e6
-	oldRep.Benchmarks[0].WalkConflictRate = 0.01
-	newRep := baseReport()
-	newRep.Benchmarks[0].WalkNSPerRound = 1e6
-	newRep.Benchmarks[0].WalkConflictRate = 0.05
-	if err := run([]string{"-diff", writeReport(t, oldRep), writeReport(t, newRep)}); err != nil {
-		t.Fatalf("conflict-rate regression must warn, not fail: %v", err)
-	}
-
-	// Silent cases.
-	for _, tc := range []struct {
-		name     string
-		old, cur jsonBenchmark
-	}{
-		{"pre-metric baseline, modest rate", bench(0), bench(0.02)},
-		{"below noise floor", bench(0), bench(0.001)},
-		{"growth inside tolerance", bench(0.02), bench(0.022)},
-	} {
-		if warns := diffBenchmarks(&sb, []jsonBenchmark{tc.old}, []jsonBenchmark{tc.cur}); len(warns) != 0 {
-			t.Errorf("%s warned: %v", tc.name, warns)
-		}
-	}
-}
-
 // TestDiffRejectsBadInput covers argument and document validation.
 func TestDiffRejectsBadInput(t *testing.T) {
 	good := writeReport(t, baseReport())

@@ -2,11 +2,11 @@
 // registry of named failure points that production code consults at the
 // exact places where the real world can go wrong (a snapshot that cannot
 // encode, a checkpoint write that hits a full disk, a runner goroutine that
-// panics, a step that stalls). In production the registry is nil and every
-// consultation is a nil-receiver no-op; chaos tests arm points on a private
-// Set and then assert the system's invariants — no leaked pool slots or
-// goroutines, a coherent dedupe cache, bit-identical recovery — under the
-// injected failures.
+// panics, a step or session build that stalls). In production the registry
+// is nil and every consultation is a nil-receiver no-op; chaos tests arm
+// points on a private Set and then assert the system's invariants — no
+// leaked pool slots or goroutines, a coherent dedupe cache, bit-identical
+// recovery — under the injected failures.
 //
 // The design deliberately avoids package-global state: a Set is plumbed
 // through configuration (serve.Config.Faults, FSStore.Faults), so parallel
@@ -39,6 +39,10 @@ const (
 	// SlowStep delays a step quantum (armed with a duration, no error):
 	// the latency-injection point deadline tests lean on.
 	SlowStep Point = "slow-step"
+	// SessionBuild fails or holds a job's session build (construct or
+	// restore) before the engine exists — the point ordering tests hold so
+	// a caller can act while the job is still queued.
+	SessionBuild Point = "session-build"
 )
 
 // Set is an armable collection of failure points. The zero value is not
@@ -56,6 +60,7 @@ type arm struct {
 	remaining int // fires left; < 0 means unlimited
 	err       error
 	delay     time.Duration
+	hold      <-chan struct{} // blocks the consultation until closed
 }
 
 // NewSet returns an empty, unarmed set.
@@ -77,6 +82,13 @@ func (s *Set) Arm(p Point, times int, err error) {
 // failing them — latency injection rather than error injection.
 func (s *Set) ArmDelay(p Point, times int, d time.Duration) {
 	s.arm(p, &arm{remaining: times, delay: d})
+}
+
+// ArmHold blocks the next times consultations of p until release is closed,
+// without failing them — the deterministic form of ArmDelay: the test, not
+// a clock, decides when the held code proceeds.
+func (s *Set) ArmHold(p Point, times int, release <-chan struct{}) {
+	s.arm(p, &arm{remaining: times, hold: release})
 }
 
 func (s *Set) arm(p Point, a *arm) {
@@ -101,8 +113,9 @@ func (s *Set) Disarm(p Point) {
 
 // Fire is the production-side consultation: it reports the injected error
 // for p, consuming one charge, or nil when p is unarmed (always nil on a
-// nil Set). A delay-armed point sleeps before returning its (typically
-// nil) error, so latency and failure injection share one call site.
+// nil Set). A delay-armed point sleeps, and a hold-armed point blocks until
+// released, before returning its (typically nil) error, so latency and
+// failure injection share one call site.
 func (s *Set) Fire(p Point) error {
 	if s == nil {
 		return nil
@@ -120,10 +133,13 @@ func (s *Set) Fire(p Point) error {
 		}
 	}
 	s.fired[p]++
-	delay, err := a.delay, a.err
+	delay, hold, err := a.delay, a.hold, a.err
 	s.mu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)
+	}
+	if hold != nil {
+		<-hold
 	}
 	return err
 }

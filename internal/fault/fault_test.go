@@ -85,6 +85,29 @@ func TestDelayInjection(t *testing.T) {
 	}
 }
 
+func TestHoldInjection(t *testing.T) {
+	s := NewSet()
+	release := make(chan struct{})
+	s.ArmHold(SessionBuild, 1, release)
+	done := make(chan error)
+	go func() { done <- s.Fire(SessionBuild) }()
+	select {
+	case err := <-done:
+		t.Fatalf("held point returned before release: %v", err)
+	default:
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("hold arm returned error: %v", err)
+	}
+	if err := s.Fire(SessionBuild); err != nil {
+		t.Fatal("hold charge not consumed")
+	}
+	if got := s.Fired(SessionBuild); got != 1 {
+		t.Fatalf("fired count %d, want 1", got)
+	}
+}
+
 func TestConcurrentFire(t *testing.T) {
 	s := NewSet()
 	s.Arm(RunnerPanic, 100, nil)

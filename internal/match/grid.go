@@ -27,10 +27,10 @@ type Grid struct {
 }
 
 var (
-	_ Matcher      = (*Grid)(nil)
-	_ Binder       = (*Grid)(nil)
-	_ WorkerSetter = (*Grid)(nil)
-	_ Space        = (*Grid)(nil)
+	_ Matcher    = (*Grid)(nil)
+	_ Binder     = (*Grid)(nil)
+	_ PoolSetter = (*Grid)(nil)
+	_ Space      = (*Grid)(nil)
 )
 
 // NewGrid validates sigma and returns an unbound Grid matcher.

@@ -34,21 +34,13 @@ type Binder interface {
 	Bind(pop *population.Population, src *prng.Source)
 }
 
-// WorkerSetter is implemented by Matchers whose matching phase itself
-// shards across a goroutine pool (the spatial pipeline of spatial.go). The
-// engine calls SetWorkers once at construction with its resolved worker
-// count; like the engine's own Workers knob it is purely a throughput
-// setting — matcher output is bit-identical for every worker count.
-type WorkerSetter interface {
-	SetWorkers(n int)
-}
-
-// PoolSetter is implemented by Matchers that shard their matching phase on
-// the engine's persistent worker pool instead of spawning goroutines per
-// round. The engine calls SetPool once at construction; a matcher that
-// never receives a pool (standalone use) falls back to its own sharding.
-// Like SetWorkers, purely a throughput setting — output is identical with
-// and without a pool.
+// PoolSetter is implemented by Matchers that shard their matching phase (the
+// spatial pipeline of spatial.go) on the engine's persistent worker pool.
+// The engine calls SetPool once at construction with the pool sized to its
+// resolved worker count. No pool ⇒ serial: a matcher that never receives
+// one (standalone use) runs every phase inline. Like the engine's Workers
+// knob, purely a throughput setting — output is bit-identical for every
+// pool size and with no pool at all.
 type PoolSetter interface {
 	SetPool(p *pool.Pool)
 }
@@ -93,7 +85,8 @@ type Prebucketer interface {
 // PipelineStats are cumulative counters of the spatial matching pipeline,
 // incremented once per sample (match and probe samples both count). Times
 // are summed wall-clock nanoseconds per phase; a PreBucket overlapped with
-// other work still accrues its cost to BucketNS. Observability only —
+// other work still accrues its cost to BucketNS; WalkNS is always serial
+// time, since the greedy walk has no parallel path. Observability only —
 // deltas between two reads divide into per-round figures (popbench's
 // per-phase breakdown); nothing reads them back into the simulation.
 type PipelineStats struct {
@@ -103,39 +96,29 @@ type PipelineStats struct {
 	// costs of phases 1–4 (bucket, counting-sort scatter, candidate
 	// selection, greedy walk).
 	BucketNS, ScatterNS, CandNS, WalkNS uint64
-	// SpecWalks and SerialWalks count how many greedy walks ran
-	// speculatively vs through the pure serial path (single shard, or the
-	// density gate tripped).
+	// SerialWalks counts greedy walks; every walk is serial, so it equals
+	// Samples. SpecWalks is always 0: the speculative parallel walk it
+	// counted was removed (DESIGN.md §12). It stays for readers that still
+	// report the speculative share.
 	SpecWalks, SerialWalks uint64
-	// SpecVisits counts visits processed by speculative walks;
-	// SpecConflicts counts the subset whose speculation was rejected and
-	// repaired serially. Their ratio is the walk conflict rate.
-	SpecVisits, SpecConflicts uint64
 }
 
-// ConflictRate reports SpecConflicts/SpecVisits — the fraction of
-// speculatively walked visits that needed serial repair (0 when no
-// speculative walk ran).
-func (s PipelineStats) ConflictRate() float64 {
-	if s.SpecVisits == 0 {
-		return 0
-	}
-	return float64(s.SpecConflicts) / float64(s.SpecVisits)
-}
+// ConflictRate is always 0: it was the speculative walk's repair rate, and
+// that walk was removed (DESIGN.md §12). It stays for readers that still
+// report it.
+func (s PipelineStats) ConflictRate() float64 { return 0 }
 
 // Sub returns the counter deltas since prev (an earlier read from the same
 // matcher).
 func (s PipelineStats) Sub(prev PipelineStats) PipelineStats {
 	return PipelineStats{
-		Samples:       s.Samples - prev.Samples,
-		BucketNS:      s.BucketNS - prev.BucketNS,
-		ScatterNS:     s.ScatterNS - prev.ScatterNS,
-		CandNS:        s.CandNS - prev.CandNS,
-		WalkNS:        s.WalkNS - prev.WalkNS,
-		SpecWalks:     s.SpecWalks - prev.SpecWalks,
-		SerialWalks:   s.SerialWalks - prev.SerialWalks,
-		SpecVisits:    s.SpecVisits - prev.SpecVisits,
-		SpecConflicts: s.SpecConflicts - prev.SpecConflicts,
+		Samples:     s.Samples - prev.Samples,
+		BucketNS:    s.BucketNS - prev.BucketNS,
+		ScatterNS:   s.ScatterNS - prev.ScatterNS,
+		CandNS:      s.CandNS - prev.CandNS,
+		WalkNS:      s.WalkNS - prev.WalkNS,
+		SpecWalks:   s.SpecWalks - prev.SpecWalks,
+		SerialWalks: s.SerialWalks - prev.SerialWalks,
 	}
 }
 

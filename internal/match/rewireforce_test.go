@@ -104,7 +104,7 @@ func TestRewireForceWorkerInvariant(t *testing.T) {
 		pop := population.New(n)
 		sw.Bind(pop, prng.New(61))
 		sw.SetRewireController(forceAllTargeter{center: population.Point{X: 0.7}, r: 0.03})
-		sw.SetWorkers(workers)
+		attachPool(t, sw, workers)
 		var p Pairing
 		src := prng.New(62)
 		out := make([]int32, 0, 3*n)

@@ -131,10 +131,10 @@ func (m *SmallWorld) buildTargets(n int) {
 }
 
 var (
-	_ Matcher      = (*SmallWorld)(nil)
-	_ Binder       = (*SmallWorld)(nil)
-	_ WorkerSetter = (*SmallWorld)(nil)
-	_ Space        = (*SmallWorld)(nil)
+	_ Matcher    = (*SmallWorld)(nil)
+	_ Binder     = (*SmallWorld)(nil)
+	_ PoolSetter = (*SmallWorld)(nil)
+	_ Space      = (*SmallWorld)(nil)
 )
 
 // NewSmallWorld validates sigma and beta and returns an unbound SmallWorld

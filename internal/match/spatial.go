@@ -3,10 +3,6 @@ package match
 import (
 	"errors"
 	"math"
-	"os"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"popstab/internal/pool"
@@ -46,46 +42,20 @@ import (
 //     keeps its candK nearest candidates, sorted by (distance, scan order)
 //     — sharded across Workers with no shared writes (each agent owns its
 //     candidate slots);
-//  4. greedy walk (speculative parallel): visit agents in a random order
-//     drawn from the matcher's stream; each unmatched agent takes the first
-//     unmatched entry of its precomputed candidate list. Because the list
-//     is the prefix of the full stable ordering, "first unmatched stored
+//  4. greedy walk (serial): visit agents in a random order drawn from the
+//     matcher's stream; each unmatched agent takes the first unmatched
+//     entry of its precomputed candidate list. Because the list is the
+//     prefix of the full stable ordering, "first unmatched stored
 //     candidate" IS the nearest unmatched candidate — unless all stored
 //     entries are taken while further candidates exist, in which case an
 //     exact fallback rescan of the neighborhood (same metric, same
-//     tie-breaking) recovers the answer. The walk is inherently sequential,
-//     so shards first walk disjoint slices of the visit order
-//     OPTIMISTICALLY against a claim array, and a serial validation pass
-//     then accepts exactly the speculative pairings that provably equal the
-//     serial outcome, repairing the rest through the serial path (rescan
-//     included) — see the next section.
+//     tie-breaking) recovers the answer. The walk is inherently sequential
+//     and stays serial: a speculative parallel walk was measured slower
+//     than this loop, because its validation pass is itself a serial scan
+//     of the visit order doing the same reads and writes (DESIGN.md §12).
 //
-// # The speculative walk
-//
-// Speculation shards the visit order [0, n) into contiguous slices. Each
-// shard walks its slice against a shared claim array (claim[i] = lowest
-// visit index that touched agent i so far, maintained with an atomic
-// min-CAS — the same lowest-visit-wins rule the serial loop's first-
-// encounter order applies), recording for each visit v a tentative partner
-// spec[v] and its candidate-list position specPos[v], or one of two
-// sentinels: specNone (provably pairs with nobody: the agent saw zero
-// candidates) and specRepair (speculation gave up).
-//
-// Correctness does NOT rest on the claims — races may leave arbitrary
-// tentative pairings. It rests on the serial validation pass, which scans
-// the visit order once and accepts spec[v] = j at position k only when,
-// under the true pairing built so far, the serial walk would have made the
-// identical choice: agent i still unmatched, j still unmatched, and every
-// stored candidate BEFORE position k already matched (so j is the first
-// unmatched stored candidate — the serial pick, with no rescan reachable).
-// Any visit failing the check re-runs the unmodified serial body, exact
-// rescan fallback included. By induction over the visit order the pairing
-// after every visit equals the serial pairing, so the output is
-// bit-identical to the historical serial walk at every worker count; the
-// claims only control how often the (cheap) accept path wins over the
-// (serial) repair path. Degenerate densities — everyone in one bucket —
-// make speculation useless, so a max-bucket-occupancy gate measured by the
-// scatter falls back to the pure serial walk (see specMaxCellOcc).
+// The sharded phases run on the engine's worker pool (SetPool); a matcher
+// with no pool — standalone use — runs them inline.
 //
 // # Tie-breaking rule
 //
@@ -96,8 +66,8 @@ import (
 // encounter win. This is the same rule the historical serial loop applied,
 // which is what makes the pipeline's output bit-identical to it — and,
 // since phases 1–3 are deterministic functions with shard-invariant
-// layouts and phase 4 is validated visit by visit against the serial rule,
-// bit-identical across every worker count.
+// layouts and phase 4 is the serial rule itself, bit-identical across every
+// worker count.
 //
 // The pipeline itself consumes randomness only in the serial walk (the
 // visit permutation). Matchers that need per-agent coins inside the sharded
@@ -107,11 +77,10 @@ import (
 
 // candK is the number of nearest candidates precomputed per agent. Larger
 // values make the exact fallback rescan rarer but cost memory bandwidth in
-// the sharded candidate phase. The rescan runs in the SERIAL part of the
-// greedy walk (the repair path), so its frequency bounds the parallel
-// speedup: at ~1 agent per cell, the probability that an agent's 8 nearest
-// are all matched before its visit is a fraction of a percent, which keeps
-// the rescan time negligible against the sharded phases.
+// the sharded candidate phase. The rescan runs in the serial greedy walk:
+// at ~1 agent per cell, the probability that an agent's 8 nearest are all
+// matched before its visit is a fraction of a percent, which keeps the
+// rescan time negligible against the sharded phases.
 const candK = 8
 
 // maxNbrCells bounds a geometry's neighborhood size (3×3 cells in 2-D,
@@ -119,52 +88,9 @@ const candK = 8
 const maxNbrCells = 9
 
 // minSpatialShard bounds how finely the sharded phases split: below ~1k
-// agents per worker the goroutine spawn overhead exceeds the per-agent
-// work. Purely a scheduling heuristic — output is worker-count-invariant.
+// agents per worker the task hand-off overhead exceeds the per-agent work.
+// Purely a scheduling heuristic — output is worker-count-invariant.
 const minSpatialShard = 1024
-
-// specMaxCellOcc is the speculation density gate for the greedy walk: when
-// any bucket holds more than this many agents, candidate lists overlap so
-// heavily that most speculative picks would be repaired anyway, so the walk
-// falls back to the pure serial path. Uniform densities put ~1 agent per
-// bucket (max occupancy ~12 at n = 2²⁰ by the Poisson tail); all-in-one-
-// patch adversarial densities blow far past the gate. The scatter measures
-// max occupancy for free in its counting pass.
-const specMaxCellOcc = 64
-
-// spec[v] sentinels of the speculative walk. Non-negative values are a
-// tentative partner index.
-const (
-	// specNone marks a visit that provably pairs with nobody: the agent had
-	// zero candidates in its neighborhood, a fact independent of the match
-	// state, so validation can accept it without any check.
-	specNone = int32(-1)
-	// specRepair marks a visit whose speculation gave up (everything
-	// claimed by earlier visits, or the stored prefix exhausted); validation
-	// re-runs it through the serial body.
-	specRepair = int32(-2)
-)
-
-// specForceShards, when positive, overrides the speculative walk's shard
-// count (still subject to the density gate). Tests and the CI race job set
-// POPSTAB_FORCE_SPEC_SHARDS to force high fan-out on small populations,
-// stressing the claim protocol far beyond what n/minSpatialShard would
-// allow.
-var specForceShards = envInt("POPSTAB_FORCE_SPEC_SHARDS")
-
-// envInt parses a non-negative integer environment knob (0 when unset or
-// malformed).
-func envInt(key string) int {
-	v := os.Getenv(key)
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
 
 // geometry is the static-dispatch seam between the shared pipeline and a
 // concrete topology: bucket layout, neighborhood scan order, and metric.
@@ -190,14 +116,13 @@ type geometry[G any] interface {
 }
 
 // spatial is the shared state of a spatial matcher: the bound position
-// side-array, the worker count, and the pipeline's reusable buffers.
+// side-array, the worker pool, and the pipeline's reusable buffers.
 // Concrete matchers embed it and call bind from their Bind.
 type spatial[G geometry[G]] struct {
-	geo     G
-	workers int
+	geo G
 	// pool, when set (SetPool), runs the sharded phases on the engine's
-	// persistent worker pool; without one (standalone use) they fall back to
-	// spawning per-round goroutines via parallelFor. Same shards either way.
+	// persistent worker pool; without one (standalone use) they run inline.
+	// Output is identical either way.
 	pool *pool.Pool
 
 	pos *population.Positions
@@ -232,10 +157,6 @@ type spatial[G geometry[G]] struct {
 	preValid bool
 	preN     int
 
-	// maxCell is the largest bucket occupancy measured by the last scatter —
-	// the speculative walk's density-gate input.
-	maxCell int32
-
 	// Pipeline buffers, reused across rounds (1.5× growth slack).
 	cellIdx    []int32            // agent -> bucket
 	cellStart  []int32            // CSR: bucket c holds cellAgents[cellStart[c]:cellStart[c+1]]
@@ -246,9 +167,6 @@ type spatial[G geometry[G]] struct {
 	candN      []uint8            // stored candidate count per agent
 	candTotal  []int32            // total candidates encountered per agent
 	order      []int32            // visit permutation
-	claim      []int32            // speculative walk: lowest visit index touching each agent
-	spec       []int32            // speculative walk: tentative partner (or sentinel) per visit
-	specPos    []uint8            // speculative walk: candidate-list position of spec[v]
 }
 
 // probeBit distinguishes probe-sample rewrite streams from match-sample
@@ -283,78 +201,44 @@ func (s *spatial[G]) PatchPoint(center population.Point, r float64, src *prng.So
 	return s.geo.patch(src, center, r)
 }
 
-// SetWorkers implements WorkerSetter: it sets the goroutine count of the
-// sharded pipeline phases. Output is bit-identical for every worker count;
-// the engine wires its own Workers value through at construction.
-func (s *spatial[G]) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
-// SetPool implements PoolSetter: the sharded phases reuse the engine's
-// parked workers instead of spawning goroutines every round. Purely a
-// throughput setting — shard boundaries and output are unchanged.
+// SetPool implements PoolSetter: the sharded phases run on the engine's
+// parked workers. Purely a throughput setting — output is bit-identical
+// for every pool size, and with no pool at all.
 func (s *spatial[G]) SetPool(p *pool.Pool) { s.pool = p }
 
 // PipelineStats implements PhaseReporter: the cumulative per-phase counters
 // of the matching pipeline since construction.
 func (s *spatial[G]) PipelineStats() PipelineStats { return s.stats }
 
-// run executes fn over [0, n) in contiguous shards: on the pool when one is
-// attached, else via per-call goroutines (parallelFor), inline when one
-// shard suffices.
+// run executes fn over [0, n) in contiguous shards on the pool, inline
+// when no pool is attached.
 func (s *spatial[G]) run(n int, fn func(lo, hi int)) {
-	if s.pool != nil {
-		s.pool.Run(n, minSpatialShard, fn)
+	if s.pool == nil {
+		fn(0, n)
 		return
 	}
-	parallelFor(n, s.workers, fn)
+	s.pool.Run(n, minSpatialShard, fn)
 }
 
 // shardCount reports how many contiguous shards run() would split n items
-// into — the partition the scatter and the speculative walk size their own
-// per-shard state by.
+// into — the partition the scatter sizes its per-shard histograms by.
 func (s *spatial[G]) shardCount(n int) int {
-	var w int
-	if s.pool != nil {
-		w = s.pool.Shards(n, minSpatialShard)
-	} else {
-		w = s.workers
-		if lim := n / minSpatialShard; w > lim {
-			w = lim
-		}
+	if s.pool == nil {
+		return 1
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return s.pool.Shards(n, minSpatialShard)
 }
 
-// runN fans fn out over shard indices 0..w-1 (on the pool when attached,
-// else via per-call goroutines), inline when w ≤ 1.
+// runN fans fn out over shard indices 0..w-1 on the pool, inline when no
+// pool is attached.
 func (s *spatial[G]) runN(w int, fn func(k int)) {
-	if w <= 1 {
-		if w == 1 {
-			fn(0)
+	if s.pool == nil {
+		for k := 0; k < w; k++ {
+			fn(k)
 		}
 		return
 	}
-	if s.pool != nil {
-		s.pool.RunN(w, fn)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
-	for k := 1; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			fn(k)
-		}(k)
-	}
-	fn(0)
-	wg.Wait()
+	s.pool.RunN(w, fn)
 }
 
 // SampleMatch implements the Matcher sampling method with sharded
@@ -482,9 +366,6 @@ func (s *spatial[G]) ensure(n, ncells int) {
 		s.candN = make([]uint8, c)
 		s.candTotal = make([]int32, c)
 		s.order = make([]int32, c)
-		s.claim = make([]int32, c)
-		s.spec = make([]int32, c)
-		s.specPos = make([]uint8, c)
 	}
 	if cap(s.cellStart) < ncells+1 {
 		s.cellStart = make([]int32, ncells+1+ncells/2)
@@ -496,9 +377,6 @@ func (s *spatial[G]) ensure(n, ncells int) {
 	s.candN = s.candN[:n]
 	s.candTotal = s.candTotal[:n]
 	s.order = s.order[:n]
-	s.claim = s.claim[:n]
-	s.spec = s.spec[:n]
-	s.specPos = s.specPos[:n]
 	s.cellStart = s.cellStart[:ncells+1]
 }
 
@@ -596,10 +474,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	// identity fill shards (pure per-index writes); the Fisher–Yates
 	// shuffle then consumes exactly the variates src.PermInt32Into would —
 	// PermInt32Into IS identity-fill + Shuffle — so the order, and the
-	// walk, are bit-identical to the historical form. The walk itself runs
-	// speculatively (see the file comment) when there is parallelism to
-	// gain and the density gate allows; otherwise, or when forced, it runs
-	// the plain serial loop.
+	// walk, are bit-identical to the historical form.
 	t0 = time.Now()
 	s.run(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -607,23 +482,15 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 		}
 	})
 	src.Shuffle(n, func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
-	if w := s.walkShards(n); w > 1 && s.maxCell <= specMaxCellOcc {
-		s.speculate(n, w)
-		conflicts := s.validate(g, pos, p)
-		s.stats.SpecWalks++
-		s.stats.SpecVisits += uint64(n)
-		s.stats.SpecConflicts += conflicts
-	} else {
-		var nbuf [maxNbrCells]int32
-		for _, oi := range s.order {
-			i := int(oi)
-			if p.Nbr[i] != Unmatched {
-				continue
-			}
-			s.walkVisit(g, pos, p, i, nbuf[:0])
+	var nbuf [maxNbrCells]int32
+	for _, oi := range s.order {
+		i := int(oi)
+		if p.Nbr[i] != Unmatched {
+			continue
 		}
-		s.stats.SerialWalks++
+		s.walkVisit(g, pos, p, i, nbuf[:0])
 	}
+	s.stats.SerialWalks++
 	s.stats.WalkNS += uint64(time.Since(t0))
 }
 
@@ -641,13 +508,12 @@ const (
 
 // scatter is phase 2: it builds cellStart/cellAgents/posByCell — the stable
 // counting-sort CSR layout, ascending agent index within each cell — with
-// the ApplyPlan count→scan→scatter idiom, and measures the maximum bucket
-// occupancy (the speculative walk's density gate) as a byproduct:
+// the ApplyPlan count→scan→scatter idiom:
 //
 //	pass 1 (sharded over agent ranges): per-shard histograms cnt[k][c];
 //	pass 2 (sharded over cell ranges): down-column exclusive scan turning
 //	       cnt[k][c] into "agents of cell c in shards before k", cell
-//	       totals into cellStart[c+1], and per-shard total/max folds;
+//	       totals into cellStart[c+1], and per-shard total folds;
 //	       a tiny serial exclusive scan over the per-shard totals;
 //	pass 3 (sharded over cell ranges): prefix sum finishing cellStart;
 //	pass 4 (sharded over agent ranges): each shard scatters its own agents
@@ -692,11 +558,11 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 	})
 
 	// Pass 2: per-cell down-column exclusive scan; cell totals land in
-	// cellStart[c+1]; per-shard sums and maxima fold out.
+	// cellStart[c+1]; per-shard sums fold out.
 	start := s.cellStart
-	var shardSum, shardMax [maxScatterShards]int32
+	var shardSum [maxScatterShards]int32
 	s.runN(w, func(k int) {
-		sum, maxc := int32(0), int32(0)
+		sum := int32(0)
 		for c := cb[k]; c < cb[k+1]; c++ {
 			t := int32(0)
 			for r := 0; r < w; r++ {
@@ -707,21 +573,13 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 			}
 			start[c+1] = t
 			sum += t
-			if t > maxc {
-				maxc = t
-			}
 		}
 		shardSum[k] = sum
-		shardMax[k] = maxc
 	})
-	base, maxCell := int32(0), int32(0)
+	base := int32(0)
 	for k := 0; k < w; k++ {
 		shardSum[k], base = base, base+shardSum[k]
-		if shardMax[k] > maxCell {
-			maxCell = shardMax[k]
-		}
 	}
-	s.maxCell = maxCell
 
 	// Pass 3: finish the prefix sum over cell totals.
 	start[0] = 0
@@ -746,136 +604,9 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 	})
 }
 
-// walkShards reports the speculative walk's fan-out: the pipeline's shard
-// count, or the POPSTAB_FORCE_SPEC_SHARDS override. One shard means the
-// plain serial walk.
-func (s *spatial[G]) walkShards(n int) int {
-	if w := specForceShards; w > 0 {
-		if w > n/2 {
-			w = n / 2
-		}
-		return w
-	}
-	return s.shardCount(n)
-}
-
-// claimMin lowers *p to v if v is smaller (atomic min via CAS), reporting
-// whether v now holds the claim — i.e. no earlier visit got there first.
-func claimMin(p *int32, v int32) bool {
-	for {
-		cur := atomic.LoadInt32(p)
-		if cur <= v {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(p, cur, v) {
-			return true
-		}
-	}
-}
-
-// speculate runs the optimistic walk: w shards over disjoint slices of the
-// visit order, each recording tentative pairings in spec/specPos against
-// the shared claim array. Claims are only a conflict-reducing heuristic —
-// validate() establishes correctness independently — so the races inherent
-// in concurrent claiming are harmless by design.
-func (s *spatial[G]) speculate(n, w int) {
-	free := int32(n) // above every real visit index
-	s.runN(w, func(k int) {
-		for i := k * n / w; i < (k+1)*n/w; i++ {
-			s.claim[i] = free
-		}
-	})
-	s.runN(w, func(k int) {
-		for v := k * n / w; v < (k+1)*n/w; v++ {
-			s.speculateVisit(v)
-		}
-	})
-}
-
-// speculateVisit walks one visit optimistically. It reads only the phase-3
-// outputs and the claim array — never the pairing — so shards share nothing
-// but the atomically-maintained claims.
-func (s *spatial[G]) speculateVisit(v int) {
-	i := int(s.order[v])
-	if s.candTotal[i] == 0 {
-		// No candidates at all: the serial walk provably leaves this visit
-		// pairless regardless of match state.
-		s.spec[v] = specNone
-		return
-	}
-	v32 := int32(v)
-	if !claimMin(&s.claim[i], v32) {
-		// An earlier visit touched i (probably pairing with it): predict i
-		// is matched by the time v runs. Validation skips or repairs.
-		s.spec[v] = specRepair
-		return
-	}
-	base := i * candK
-	stored := int(s.candN[i])
-	for k := 0; k < stored; k++ {
-		j := s.cand[base+k]
-		if claimMin(&s.claim[j], v32) {
-			s.spec[v] = j
-			s.specPos[v] = uint8(k)
-			return
-		}
-	}
-	// Everything stored is claimed by earlier visits (or the stored prefix
-	// would be exhausted, implying a rescan): serial repair decides.
-	s.spec[v] = specRepair
-}
-
-// validate is the serial pass that makes the speculative walk exact: it
-// scans the visit order once and accepts a tentative pairing only when the
-// serial walk, given the true pairing built so far, would have made the
-// identical choice — otherwise it re-runs the visit through the unmodified
-// serial body (walkVisit, exact rescan included). The induction in the
-// file comment is the bit-identity argument; conflicts is the repair
-// count.
-func (s *spatial[G]) validate(g G, pos []population.Point, p *Pairing) (conflicts uint64) {
-	var nbuf [maxNbrCells]int32
-	for v, oi := range s.order {
-		i := int(oi)
-		if p.Nbr[i] != Unmatched {
-			continue
-		}
-		sp := s.spec[v]
-		if sp == specNone {
-			continue
-		}
-		if sp >= 0 {
-			j := sp
-			if p.Nbr[j] == Unmatched {
-				// j is the serial pick iff every stored candidate before it
-				// is already matched (then j is the FIRST unmatched stored
-				// candidate, and the rescan branch is unreachable). In the
-				// common case specPos[v] == 0 and the prefix check is free.
-				ok := true
-				base := i * candK
-				for m := 0; m < int(s.specPos[v]); m++ {
-					if p.Nbr[s.cand[base+m]] == Unmatched {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					p.Nbr[i] = j
-					p.Nbr[j] = int32(i)
-					continue
-				}
-			}
-		}
-		conflicts++
-		s.walkVisit(g, pos, p, i, nbuf[:0])
-	}
-	return conflicts
-}
-
 // walkVisit is the serial greedy-walk body for one unmatched agent: first
 // unmatched stored candidate, exact fallback rescan when the stored prefix
-// is exhausted but the neighborhood holds more. Shared verbatim by the
-// serial walk and the validation repair path — the speculative walk's
-// bit-identity rests on repairs running exactly this code.
+// is exhausted but the neighborhood holds more.
 func (s *spatial[G]) walkVisit(g G, pos []population.Point, p *Pairing, i int, nbuf []int32) {
 	best := int32(-1)
 	stored := int(s.candN[i])
@@ -956,30 +687,6 @@ func (s *spatial[G]) rescan(g G, pos []population.Point, p *Pairing, i int, nbuf
 		}
 	}
 	return best
-}
-
-// parallelFor runs fn over up to `workers` contiguous shards of [0, n),
-// inline on the caller's goroutine when one shard suffices. Shard
-// boundaries are invisible to callers whose fn is a pure per-index
-// function.
-func parallelFor(n, workers int, fn func(lo, hi int)) {
-	w := workers
-	if lim := n / minSpatialShard; w > lim {
-		w = lim
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(k*n/w, (k+1)*n/w)
-	}
-	wg.Wait()
 }
 
 // gaussianOffset draws a 2-D Gaussian offset of standard deviation sigma

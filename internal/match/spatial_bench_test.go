@@ -24,7 +24,7 @@ func benchTorusSample(b *testing.B, workers int) {
 	}
 	pop := population.New(n)
 	tor.Bind(pop, prng.New(1))
-	tor.SetWorkers(workers)
+	attachPool(b, tor, workers)
 	src := prng.New(2)
 	var p Pairing
 	b.ResetTimer()

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -114,7 +115,7 @@ func TestTorusGoldenAgainstSerialReference(t *testing.T) {
 			var want Pairing
 			referenceNearestSample(pos, prng.New(uint64(n)+7), &want)
 			for _, w := range workerCounts {
-				tor.SetWorkers(w)
+				attachPool(t, tor, w)
 				var got Pairing
 				tor.SampleMatch(pop, prng.New(uint64(n)+7), &got)
 				if err := got.Validate(); err != nil {
@@ -179,32 +180,269 @@ func positionsOf(t *testing.T, m Matcher) *population.Positions {
 	return nil
 }
 
+// attachPool gives m a worker pool of the given size, closed when the test
+// ends.
+func attachPool(tb testing.TB, m Matcher, workers int) {
+	tb.Helper()
+	pl := pool.New(workers)
+	tb.Cleanup(pl.Close)
+	m.(PoolSetter).SetPool(pl)
+}
+
+// shapePositions rewrites a gallery matcher's positions into one of the
+// density shapes the pipeline must survive: "uniform" (as bound), "patchy"
+// (many clumps of ~2 dozen agents sharing a cell — candidate lists overlap
+// heavily, so the exact rescan fires), "clustered" (nine huge piles), and
+// "onepoint" (fully degenerate: every distance ties and all agents share
+// one cell, so the outcome is decided purely by tie-breaking).
+func shapePositions(t *testing.T, m Matcher, shape string, seed uint64) {
+	t.Helper()
+	pos := positionsOf(t, m).Slice()
+	mut := prng.New(seed)
+	switch shape {
+	case "uniform":
+	case "patchy":
+		nclumps := len(pos)/24 + 1
+		centers := make([]population.Point, nclumps)
+		for i := range centers {
+			centers[i] = population.Point{X: mut.Float64(), Y: mut.Float64()}
+		}
+		for i := range pos {
+			c := centers[mut.Intn(nclumps)]
+			pos[i] = population.Point{
+				X: wrap(c.X + 1e-6*mut.Float64()),
+				Y: wrap(c.Y + 1e-6*mut.Float64()),
+			}
+		}
+	case "clustered":
+		for i := range pos {
+			pos[i] = population.Point{
+				X: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
+				Y: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
+			}
+		}
+	case "onepoint":
+		for i := range pos {
+			pos[i] = population.Point{X: 0.25, Y: 0.25}
+		}
+	default:
+		t.Fatalf("unknown shape %q", shape)
+	}
+}
+
 // TestSpatialWorkersBitIdentical pins the worker-count invariance of every
-// gallery matcher: for Workers ∈ {1, 2, NumCPU} a fresh identically-seeded
-// run produces the identical pairing.
+// gallery matcher: across density shapes from uniform to fully degenerate
+// and pools of {1, 2, 4, NumCPU} workers, a fresh identically-seeded run
+// produces the identical pairing to a run with no pool (fully serial).
+// Populations are large enough that the pooled runs really shard phases
+// 1–3.
 func TestSpatialWorkersBitIdentical(t *testing.T) {
-	const n = 8192
 	for _, name := range galleryNames {
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int) []int32 {
-				m, pop := buildSpatial(t, name, n, 11)
-				m.(WorkerSetter).SetWorkers(workers)
-				var p Pairing
-				m.SampleMatch(pop, prng.New(99), &p)
-				out := make([]int32, n)
-				copy(out, p.Nbr)
-				return out
-			}
-			want := run(1)
-			for _, w := range []int{2, runtime.NumCPU()} {
-				got := run(w)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d diverged at agent %d: %d != %d", w, i, got[i], want[i])
-					}
+			for _, shape := range []string{"uniform", "patchy", "clustered", "onepoint"} {
+				n := 8192
+				if shape == "clustered" || shape == "onepoint" {
+					// The degenerate shapes are quadratic in cluster size.
+					n = 4096
 				}
+				t.Run(shape, func(t *testing.T) {
+					run := func(workers int) []int32 {
+						m, pop := buildSpatial(t, name, n, 11)
+						shapePositions(t, m, shape, uint64(n)*13)
+						if workers > 0 {
+							attachPool(t, m, workers)
+						}
+						var p Pairing
+						m.SampleMatch(pop, prng.New(99), &p)
+						if err := p.Validate(); err != nil {
+							t.Fatalf("workers=%d: %v", workers, err)
+						}
+						out := make([]int32, n)
+						copy(out, p.Nbr)
+						return out
+					}
+					want := run(0)
+					for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
+						got := run(w)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("workers=%d diverged at agent %d: %d != %d", w, i, got[i], want[i])
+							}
+						}
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestSpatialWalkAcrossRounds drives two torus twins — pools of 1 and 2
+// workers — through repeated insert/delete/match rounds and asserts every
+// round's pairings are equal: the reused pipeline buffers must stay correct
+// as the population churns.
+func TestSpatialWalkAcrossRounds(t *testing.T) {
+	const n = 4096
+	build := func(workers int) (Matcher, *population.Population) {
+		m, pop := buildSpatial(t, "torus", n, 71)
+		attachPool(t, m, workers)
+		return m, pop
+	}
+	ms, pops := build(1)
+	mp, popp := build(2)
+	srcS, srcP := prng.New(5), prng.New(5)
+	mut := prng.New(6)
+	for round := 0; round < 12; round++ {
+		for k := 0; k < 64; k++ {
+			switch mut.Intn(2) {
+			case 0:
+				i := mut.Intn(pops.Len())
+				pops.Insert(pops.State(i))
+				popp.Insert(popp.State(i))
+			case 1:
+				i := mut.Intn(pops.Len())
+				pops.DeleteSwap(i)
+				popp.DeleteSwap(i)
+			}
+		}
+		var ps, pp Pairing
+		ms.SampleMatch(pops, srcS, &ps)
+		mp.SampleMatch(popp, srcP, &pp)
+		for i := range ps.Nbr {
+			if ps.Nbr[i] != pp.Nbr[i] {
+				t.Fatalf("round %d: diverged at agent %d: workers=1 %d, workers=2 %d",
+					round, i, ps.Nbr[i], pp.Nbr[i])
+			}
+		}
+	}
+}
+
+// TestSpatialHermitsStayUnmatched pins the empty-neighborhood case: agents
+// whose whole 3×3 neighborhood is empty pair with nobody, with or without a
+// pool. Nine hermits sit in cells whose neighborhoods are otherwise empty
+// while the rest of the population clusters far away.
+func TestSpatialHermitsStayUnmatched(t *testing.T) {
+	const n = 4096 // torus side 64
+	run := func(workers int) []int32 {
+		m, pop := buildSpatial(t, "torus", n, 33)
+		if workers > 0 {
+			attachPool(t, m, workers)
+		}
+		pos := positionsOf(t, m).Slice()
+		mut := prng.New(7)
+		for i := range pos {
+			pos[i] = population.Point{X: 0.5 * mut.Float64(), Y: 0.5 * mut.Float64()}
+		}
+		const side = 64.0
+		for k := 0; k < 9; k++ {
+			r, c := 40+4*(k/3), 40+4*(k%3)
+			pos[k] = population.Point{X: (float64(c) + 0.5) / side, Y: (float64(r) + 0.5) / side}
+		}
+		var p Pairing
+		m.SampleMatch(pop, prng.New(55), &p)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int32, n)
+		copy(out, p.Nbr)
+		return out
+	}
+	want := run(0)
+	got := run(2)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pairing diverged at agent %d: got %d, want %d", i, got[i], want[i])
+		}
+	}
+	for k := 0; k < 9; k++ {
+		if got[k] != Unmatched {
+			t.Errorf("hermit %d matched with %d, want unmatched", k, got[k])
+		}
+	}
+}
+
+// TestPreBucketReuseAndDrop pins the Prebucketer contract on the spatial
+// chassis: a PreBucket for exactly the sampled n is consumed and yields the
+// identical pairing; a PreBucket for a stale n is ignored; DropPrebucket
+// discards a pending one so a subsequent sample rebuckets fresh positions.
+func TestPreBucketReuseAndDrop(t *testing.T) {
+	const n = 4096
+	twin := func() (Matcher, *population.Population) { return buildSpatial(t, "torus", n, 55) }
+
+	// Prebucket + sample vs plain sample.
+	m1, pop1 := twin()
+	m2, pop2 := twin()
+	m1.(Prebucketer).PreBucket(pop1.Len())
+	var got, want Pairing
+	m1.SampleMatch(pop1, prng.New(9), &got)
+	m2.SampleMatch(pop2, prng.New(9), &want)
+	for i := range want.Nbr {
+		if got.Nbr[i] != want.Nbr[i] {
+			t.Fatalf("prebucketed sample diverged at agent %d", i)
+		}
+	}
+
+	// A stale-n prebucket must be ignored, not half-used.
+	m1.(Prebucketer).PreBucket(pop1.Len())
+	pop1.Insert(pop1.State(0))
+	pop2.Insert(pop2.State(0))
+	m1.SampleMatch(pop1, prng.New(10), &got)
+	m2.SampleMatch(pop2, prng.New(10), &want)
+	for i := range want.Nbr {
+		if got.Nbr[i] != want.Nbr[i] {
+			t.Fatalf("stale-n prebucket corrupted the sample at agent %d", i)
+		}
+	}
+
+	// DropPrebucket: positions move between PreBucket and the sample.
+	scramble := func(m Matcher) {
+		pos := positionsOf(t, m).Slice()
+		mut := prng.New(123)
+		for i := range pos {
+			pos[i] = population.Point{X: mut.Float64(), Y: mut.Float64()}
+		}
+	}
+	m1.(Prebucketer).PreBucket(pop1.Len())
+	scramble(m1)
+	m1.(Prebucketer).DropPrebucket()
+	scramble(m2)
+	m1.SampleMatch(pop1, prng.New(11), &got)
+	m2.SampleMatch(pop2, prng.New(11), &want)
+	for i := range want.Nbr {
+		if got.Nbr[i] != want.Nbr[i] {
+			t.Fatalf("dropped prebucket still influenced the sample at agent %d", i)
+		}
+	}
+}
+
+// TestPipelineStatsAccumulate pins the PhaseReporter counters: samples and
+// per-phase times accumulate, every walk is serial, and Sub yields deltas.
+func TestPipelineStatsAccumulate(t *testing.T) {
+	const n = 4096
+	m, pop := buildSpatial(t, "torus", n, 77)
+	attachPool(t, m, 2)
+	rep := m.(PhaseReporter)
+	src := prng.New(3)
+	var p Pairing
+	m.SampleMatch(pop, src, &p)
+	first := rep.PipelineStats()
+	if first.Samples != 1 {
+		t.Fatalf("Samples = %d after one sample", first.Samples)
+	}
+	if first.BucketNS == 0 || first.ScatterNS == 0 || first.CandNS == 0 || first.WalkNS == 0 {
+		t.Errorf("phase times did not accumulate: %+v", first)
+	}
+	for i := 0; i < 3; i++ {
+		m.SampleMatch(pop, src, &p)
+	}
+	cur := rep.PipelineStats()
+	if cur.Samples != 4 {
+		t.Fatalf("Samples = %d after four samples", cur.Samples)
+	}
+	if cur.SerialWalks != cur.Samples || cur.SpecWalks != 0 {
+		t.Errorf("walk counters %+v, want SerialWalks == Samples and no speculative walks", cur)
+	}
+	if d := cur.Sub(first); d.Samples != 3 || d.SerialWalks != 3 {
+		t.Errorf("Sub delta wrong: %+v", d)
 	}
 }
 

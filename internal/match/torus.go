@@ -23,7 +23,7 @@ import (
 // high (most agents have a close unmatched neighbor) but pairs are strongly
 // local — the property under test in experiments A5, A7, and A8. The
 // matching runs on the sharded spatial pipeline (spatial.go): bucketing and
-// candidate search split across SetWorkers goroutines with output
+// candidate search split across the engine's worker pool with output
 // bit-identical to the serial algorithm for every worker count.
 type Torus struct {
 	// Sigma is the standard deviation of a daughter's offset from its
@@ -35,10 +35,10 @@ type Torus struct {
 }
 
 var (
-	_ Matcher      = (*Torus)(nil)
-	_ Binder       = (*Torus)(nil)
-	_ WorkerSetter = (*Torus)(nil)
-	_ Space        = (*Torus)(nil)
+	_ Matcher    = (*Torus)(nil)
+	_ Binder     = (*Torus)(nil)
+	_ PoolSetter = (*Torus)(nil)
+	_ Space      = (*Torus)(nil)
 )
 
 // NewTorus validates sigma and returns an unbound Torus matcher.

@@ -59,10 +59,9 @@ func TestRunNFansOut(t *testing.T) {
 }
 
 // TestRunNWiderThanPool pins that fanning out past the pool's parallelism
-// completes instead of deadlocking — the forced-speculation override
-// (POPSTAB_FORCE_SPEC_SHARDS) submits more shards than Workers, and a pool
-// of 1 spawns no drainer goroutines at all, so RunN must fall back to
-// inline execution there and queue the excess elsewhere.
+// completes instead of deadlocking — a caller may submit more shards than
+// Workers, and a pool of 1 spawns no drainer goroutines at all, so RunN
+// must fall back to inline execution there and queue the excess elsewhere.
 func TestRunNWiderThanPool(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		p := New(workers)

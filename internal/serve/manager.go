@@ -812,18 +812,20 @@ func (j *Job) run() {
 	} else {
 		endBuild("session", j.id)
 	}
-	j.mu.Lock()
 	if err != nil {
-		j.failLocked(err)
-		j.mu.Unlock()
 		// A failed build must not keep answering for its (hash, rounds)
 		// identity: evict so a retry runs instead of deduping onto the
 		// corpse, and drop any checkpoint so recovery does not resurrect
-		// the poison.
+		// the poison. Both happen before failLocked closes done, so a
+		// caller woken by the failure already sees the cache without it.
 		j.evict()
 		j.dropCheckpoint()
+		j.mu.Lock()
+		j.failLocked(err)
+		j.mu.Unlock()
 		return
 	}
+	j.mu.Lock()
 	// Counted here, after the constructor succeeded: SimRuns is "engines
 	// actually run", so failed builds and corrupt restores don't inflate
 	// the metric the dedupe verdict is measured against.
@@ -896,6 +898,11 @@ func (j *Job) run() {
 		// session) and mirrored under j.mu for SSE/API readers; the quantum
 		// delta feeds the per-phase histograms.
 		roundStats := sess.RoundStats()
+		if err != nil {
+			// Leave the dedupe cache before failLocked signals, as a
+			// failed build does.
+			j.evict()
+		}
 
 		j.mu.Lock()
 		j.stepping = false
@@ -906,7 +913,6 @@ func (j *Job) run() {
 			j.cond.Broadcast()
 			j.mu.Unlock()
 			j.m.releaseSlot()
-			j.evict()
 			j.dropCheckpoint()
 			return
 		}
@@ -940,6 +946,9 @@ func (j *Job) buildSession() (sess *popstab.Session, err error) {
 			err = fmt.Errorf("serve: session build panic: %v\n%s", r, debug.Stack())
 		}
 	}()
+	if err := j.m.faults.Fire(fault.SessionBuild); err != nil {
+		return nil, err
+	}
 	if j.snapshot != nil {
 		return popstab.RestoreSessionFromSpec(j.spec, j.snapshot)
 	}
@@ -1112,12 +1121,16 @@ func (m *Manager) registerCheckpointLocked(cp Checkpoint) *Job {
 	return j
 }
 
-// finishLocked marks the job done (idempotent) and signals completion.
-// Completion counts as a touch: the TTL clock starts when the run settles,
-// not when it was submitted.
+// finishLocked marks the job done (idempotent) and signals completion,
+// waking long-pollers (Job.Wait) like failLocked does: a job that finishes
+// without stepping — a zero-round restore — has no quantum broadcast to
+// ride on. Completion counts as a touch: the TTL clock starts when the run
+// settles, not when it was submitted. Only the arrival at StatusDone
+// touches; the runner's idempotent re-calls while parked do not, so an idle
+// done session ages from the moment a caller sees it finish.
 func (j *Job) finishLocked() {
-	j.touch()
 	if j.status != StatusDone {
+		j.touch()
 		j.status = StatusDone
 		if !j.countedDone {
 			j.countedDone = true
@@ -1125,6 +1138,7 @@ func (j *Job) finishLocked() {
 		}
 	}
 	j.doneOnce.Do(func() { close(j.done) })
+	j.cond.Broadcast()
 }
 
 // failLocked marks the job failed and signals completion.

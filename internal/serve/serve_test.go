@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"popstab"
+	"popstab/internal/fault"
 )
 
 // quickSpec is a small, fast simulation: N=4096 (the model minimum) with
@@ -667,5 +668,77 @@ func TestSessionLimit(t *testing.T) {
 	// A deduped submission is not a new session and must still succeed.
 	if _, deduped, err := m.Submit(context.Background(), quickSpec(20), 1); err != nil || !deduped {
 		t.Fatalf("dedupe past the limit: deduped=%v err=%v", deduped, err)
+	}
+}
+
+// parkSignal is a sync.Locker over a job's mutex that reports the first
+// Unlock made through it. Installed as the job's cond locker while nothing
+// else can reach the cond, that Unlock is a Wait caller parking in
+// cond.Wait — already enlisted for the next Broadcast.
+type parkSignal struct {
+	mu     *sync.Mutex
+	once   sync.Once
+	parked chan struct{}
+}
+
+func (l *parkSignal) Lock() { l.mu.Lock() }
+
+func (l *parkSignal) Unlock() {
+	l.mu.Unlock()
+	l.once.Do(func() { close(l.parked) })
+}
+
+// TestWaitWakesOnZeroRoundRestore pins that a job finishing with no pending
+// rounds wakes its long-pollers: a Wait parked on a zero-round restore
+// while its session build is held returns as soon as the build completes,
+// not at its deadline.
+func TestWaitWakesOnZeroRoundRestore(t *testing.T) {
+	faults := fault.NewSet()
+	m := NewManager(Config{Faults: faults})
+	defer m.Close()
+	ctx := context.Background()
+	src, _, err := m.Submit(ctx, quickSpec(61), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, src)
+	spec, snap, err := src.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	faults.ArmHold(fault.SessionBuild, 1, release)
+	j, err := m.Restore(ctx, spec, snap, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The runner is held before its build, so the job is still queued and
+	// its cond is not yet in use.
+	sig := &parkSignal{mu: &j.mu, parked: make(chan struct{})}
+	j.cond.L = sig
+
+	waitCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type waited struct {
+		info    JobInfo
+		reached bool
+		err     error
+	}
+	woke := make(chan waited, 1)
+	go func() {
+		info, reached, err := j.Wait(waitCtx, StatusDone)
+		woke <- waited{info, reached, err}
+	}()
+	<-sig.parked
+	close(release)
+
+	select {
+	case w := <-woke:
+		if w.err != nil || !w.reached || w.info.Status != StatusDone {
+			t.Fatalf("Wait = %+v reached=%v err=%v, want done", w.info, w.reached, w.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("waiter parked on a queued zero-round restore was not woken when the job finished: %+v", j.Info())
 	}
 }

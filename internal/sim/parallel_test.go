@@ -7,6 +7,7 @@ import (
 
 	"popstab/internal/adversary"
 	"popstab/internal/match"
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/protocol"
 )
@@ -158,19 +159,19 @@ func TestScratchGrowthSlack(t *testing.T) {
 	}
 }
 
-// workerRecorder is a Matcher that records the worker count the engine
-// hands it through the match.WorkerSetter seam.
-type workerRecorder struct {
+// poolRecorder is a Matcher that records the pool the engine hands it
+// through the match.PoolSetter seam.
+type poolRecorder struct {
 	match.Matcher
-	got int
+	got *pool.Pool
 }
 
-func (w *workerRecorder) SetWorkers(n int) { w.got = n }
+func (r *poolRecorder) SetPool(p *pool.Pool) { r.got = p }
 
-// TestEngineWiresMatcherWorkers pins the WorkerSetter plumbing: the engine
-// propagates its resolved worker count (including the NumCPU default for
-// Workers = 0) to matchers that shard their own matching phase.
-func TestEngineWiresMatcherWorkers(t *testing.T) {
+// TestEngineWiresMatcherPool pins the PoolSetter plumbing: the engine hands
+// matchers that shard their own matching phase a pool sized to its resolved
+// worker count (including the NumCPU default for Workers = 0).
+func TestEngineWiresMatcherPool(t *testing.T) {
 	p := fastParams(t)
 	for _, workers := range []int{0, 1, 3} {
 		pr, err := protocol.New(p)
@@ -181,16 +182,21 @@ func TestEngineWiresMatcherWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &workerRecorder{Matcher: match.FromScheduler(u)}
-		if _, err := New(Config{Params: p, Protocol: pr, Seed: 1, Workers: workers, Matcher: rec}); err != nil {
+		rec := &poolRecorder{Matcher: match.FromScheduler(u)}
+		e, err := New(Config{Params: p, Protocol: pr, Seed: 1, Workers: workers, Matcher: rec})
+		if err != nil {
 			t.Fatal(err)
 		}
 		want := workers
 		if want == 0 {
 			want = runtime.NumCPU()
 		}
-		if rec.got != want {
-			t.Errorf("Workers=%d: matcher got %d, want %d", workers, rec.got, want)
+		if rec.got == nil {
+			t.Fatalf("Workers=%d: matcher got no pool", workers)
 		}
+		if got := rec.got.Workers(); got != want {
+			t.Errorf("Workers=%d: matcher pool has %d workers, want %d", workers, got, want)
+		}
+		e.Close()
 	}
 }

@@ -44,11 +44,11 @@
 // prefix-sum apply plan, and the randomness-free Compose phase overlaps the
 // matching (the two touch disjoint state — DESIGN.md §10). The adversary's
 // turn stays serial — sequential by its budget semantics — but its staging
-// half overlaps the spatial matcher's bucketing phase (DESIGN.md §12), and
-// the greedy walk that finishes spatial matching runs speculatively in
-// parallel with serial validation (bit-identical, match/spatial.go). Engines
-// own their pool: Close releases its goroutines (a closed engine keeps
-// working, serially), and dropped engines are covered by a runtime cleanup.
+// half overlaps the spatial matcher's bucketing phase (DESIGN.md §12); the
+// greedy walk that finishes spatial matching stays serial (match/spatial.go).
+// Engines own their pool: Close releases its goroutines (a closed engine
+// keeps working, serially), and dropped engines are covered by a runtime
+// cleanup.
 // See DESIGN.md §5 for the phase structure and §10 for the parallel design.
 package sim
 
@@ -345,13 +345,6 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	}
 	if e.epochLen < 1 {
 		return nil, fmt.Errorf("sim: program epoch length %d < 1", e.epochLen)
-	}
-
-	// Matchers that shard their own matching phase (the spatial pipeline)
-	// inherit the engine's worker count; like Workers itself this is purely
-	// a throughput knob — matcher output is worker-count-invariant.
-	if ws, ok := matcher.(match.WorkerSetter); ok {
-		ws.SetWorkers(workers)
 	}
 
 	// The persistent worker pool behind every sharded phase. It is threaded

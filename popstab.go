@@ -529,10 +529,12 @@ func (s *Sim) Census() Census { return s.eng.Census() }
 func (s *Sim) Close() { s.eng.Close() }
 
 // MatchStats reports the spatial matcher's cumulative per-phase pipeline
-// counters (bucket/scatter/candidate/walk times, speculative-walk conflict
-// counts). ok is false for communication models without a phase pipeline
-// (the well-mixed scheduler). Observability only — popbench's per-phase
-// throughput breakdown reads it; nothing feeds back into the simulation.
+// counters: sample count, bucket/scatter/candidate/walk times, and walk
+// counts (every walk is serial, so SerialWalks equals Samples and the
+// speculative fields stay 0). ok is false for communication models without
+// a phase pipeline (the well-mixed scheduler). Observability only —
+// popbench's per-phase throughput breakdown reads it; nothing feeds back
+// into the simulation.
 func (s *Sim) MatchStats() (stats MatchPipelineStats, ok bool) {
 	if r, isSpatial := s.eng.Matcher().(match.PhaseReporter); isSpatial {
 		return r.PipelineStats(), true
