@@ -137,13 +137,12 @@ func benchTorusMatch(b *testing.B, n, workers int) {
 		b.Fatal(err)
 	}
 	pop := population.New(n)
-	tor.Bind(pop, prng.New(1))
 	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
 	pl := pool.New(workers)
 	defer pl.Close()
-	tor.SetPool(pl)
+	tor.Bind(pop, prng.New(1), pl)
 	src := prng.New(2)
 	var p match.Pairing
 	p.SetPool(pl)

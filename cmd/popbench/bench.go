@@ -172,10 +172,9 @@ func benchTorusMatch(name string, n int) (jsonBenchmark, error) {
 		return b, err
 	}
 	pop := population.New(n)
-	tor.Bind(pop, prng.New(1))
 	pl := pool.New(runtime.NumCPU())
 	defer pl.Close()
-	tor.SetPool(pl)
+	tor.Bind(pop, prng.New(1), pl)
 	src := prng.New(2)
 	var p match.Pairing
 	p.SetPool(pl)

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"popstab/internal/agent"
-	"popstab/internal/match"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -48,12 +47,8 @@ func (c *Composite) Act(v View, m Mutator, src *prng.Source) {
 	}
 }
 
-// BindMatcher implements MatcherBinder by delegation to every part.
-func (c *Composite) BindMatcher(m match.Matcher) {
-	for _, p := range c.Parts {
-		bindMatcher(p, m)
-	}
-}
+// parts implements wrapper.
+func (c *Composite) parts() []Adversary { return c.Parts }
 
 // Alternator switches between two strategies every Period rounds, modeling
 // an adversary that altenately inflates and deflates to resonate with the
@@ -77,11 +72,8 @@ func (a *Alternator) Name() string {
 	return "alternate(" + a.A.Name() + "," + a.B.Name() + ")"
 }
 
-// BindMatcher implements MatcherBinder by delegation to both phases.
-func (a *Alternator) BindMatcher(m match.Matcher) {
-	bindMatcher(a.A, m)
-	bindMatcher(a.B, m)
-}
+// parts implements wrapper.
+func (a *Alternator) parts() []Adversary { return []Adversary{a.A, a.B} }
 
 // Act implements Adversary.
 func (a *Alternator) Act(v View, m Mutator, src *prng.Source) {

@@ -3,7 +3,6 @@ package adversary
 import (
 	"fmt"
 
-	"popstab/internal/match"
 	"popstab/internal/prng"
 )
 
@@ -46,9 +45,8 @@ func (p *Paced) Act(v View, m Mutator, src *prng.Source) {
 	p.Inner.Act(v, m, src)
 }
 
-// BindMatcher implements MatcherBinder by delegation, so pacing a
-// matcher-bound strategy (RewireAdversary) keeps its binding.
-func (p *Paced) BindMatcher(m match.Matcher) { bindMatcher(p.Inner, m) }
+// parts implements wrapper.
+func (p *Paced) parts() []Adversary { return []Adversary{p.Inner} }
 
 // PerEpoch distributes a per-epoch alteration budget across an epoch: given
 // the epoch length T and a desired budget of perEpoch alterations per epoch

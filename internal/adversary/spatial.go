@@ -18,26 +18,17 @@ import (
 	"popstab/internal/prng"
 )
 
-// MatcherBinder is implemented by strategies that act on the communication
-// model itself rather than on agents (RewireAdversary). The engine invokes
-// BindMatcher exactly once at construction, after the matcher is bound to
-// the population; wrapper strategies (Paced, Composite, Alternator) delegate
-// to their parts.
-type MatcherBinder interface {
-	BindMatcher(m match.Matcher)
-}
-
-// bindMatcher hands the matcher to adv if it (or, through the wrappers'
-// delegation, anything it contains) implements MatcherBinder. The engine
-// calls this once at construction.
-func bindMatcher(adv Adversary, m match.Matcher) {
-	if mb, ok := adv.(MatcherBinder); ok {
-		mb.BindMatcher(m)
+// BindMatcher hands the engine's bound matcher to every strategy in adv's
+// tree that acts on the communication model itself rather than on agents
+// (RewireAdversary), reaching through wrappers. The engine calls it once at
+// construction, after the matcher is bound to the population.
+func BindMatcher(adv Adversary, m match.Matcher) {
+	for _, a := range leaves(adv, nil) {
+		if ra, ok := a.(*RewireAdversary); ok {
+			ra.bindMatcher(m)
+		}
 	}
 }
-
-// BindMatcherTo is bindMatcher for callers outside the package (the engine).
-func BindMatcherTo(adv Adversary, m match.Matcher) { bindMatcher(adv, m) }
 
 // PatchDeleter concentrates every deletion it can afford inside one ball of
 // the topology: up to its per-round quota of the agents nearest Center
@@ -201,10 +192,10 @@ func (pc *PatchCombo) Act(v View, m Mutator, src *prng.Source) {
 // forced agents draw their long-range candidates from the agents inside
 // [TargetCenter, TargetRadius] instead of uniformly — the adversary drags
 // honest agents' links INTO a patch, feeding them to its residents (see
-// match.RewireTargeter and NewRewireForcer).
+// match.RewireController and NewRewireForcer).
 //
-// The strategy needs the matcher itself, so it implements MatcherBinder; on
-// a non-SmallWorld matcher it binds to nothing and is inert. Its Act is a
+// The strategy needs the matcher itself, which BindMatcher hands it; on a
+// non-SmallWorld matcher it binds to nothing and is inert. Its Act is a
 // no-op (the directive is positional and needs no per-round recomputation),
 // which also means it works at budget K = 0.
 type RewireAdversary struct {
@@ -230,9 +221,7 @@ type RewireAdversary struct {
 
 var (
 	_ Adversary              = (*RewireAdversary)(nil)
-	_ MatcherBinder          = (*RewireAdversary)(nil)
 	_ match.RewireController = (*RewireAdversary)(nil)
-	_ match.RewireTargeter   = (*RewireAdversary)(nil)
 )
 
 // NewRewireDenier pins agents within r of center to their ring neighborhood
@@ -276,10 +265,10 @@ func (ra *RewireAdversary) Name() string {
 	return fmt.Sprintf("rewire-%s(r=%.3g)", verb, ra.Radius)
 }
 
-// BindMatcher implements MatcherBinder: on a SmallWorld matcher the strategy
-// installs itself as the RewireController; any other matcher leaves it
-// inert.
-func (ra *RewireAdversary) BindMatcher(m match.Matcher) {
+// bindMatcher is BindMatcher's leaf case: on a SmallWorld matcher the
+// strategy installs itself as the RewireController; any other matcher
+// leaves it inert.
+func (ra *RewireAdversary) bindMatcher(m match.Matcher) {
 	if sw, ok := m.(*match.SmallWorld); ok {
 		ra.sw = sw
 		sw.SetRewireController(ra)
@@ -300,7 +289,7 @@ func (ra *RewireAdversary) Mode(i int, pt population.Point) match.RewireMode {
 	return match.RewireDefault
 }
 
-// RewireTarget implements match.RewireTargeter: forced candidates are drawn
+// RewireTarget implements match.RewireController: forced candidates are drawn
 // from the target ball when one is configured.
 func (ra *RewireAdversary) RewireTarget() (population.Point, float64, bool) {
 	return ra.TargetCenter, ra.TargetRadius, ra.HasTarget

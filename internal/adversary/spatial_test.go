@@ -8,6 +8,7 @@ import (
 	"popstab/internal/match"
 	"popstab/internal/population"
 	"popstab/internal/prng"
+	"popstab/internal/wire"
 )
 
 // spatialView is fakeView plus a 1-D ring space, for testing the
@@ -227,7 +228,7 @@ func TestRewireAdversaryMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ra := NewRewireDenier(population.Point{X: 0.5}, 0.1)
-	ra.BindMatcher(sw)
+	BindMatcher(ra, sw)
 	if got := ra.Mode(0, population.Point{X: 0.55}); got != match.RewireDeny {
 		t.Errorf("inside patch: mode %v", got)
 	}
@@ -235,7 +236,7 @@ func TestRewireAdversaryMode(t *testing.T) {
 		t.Errorf("outside patch: mode %v", got)
 	}
 	all := NewRewireDenier(population.Point{}, -1)
-	all.BindMatcher(sw)
+	BindMatcher(all, sw)
 	if got := all.Mode(2, population.Point{X: 0.3}); got != match.RewireDeny {
 		t.Errorf("deny-all: mode %v", got)
 	}
@@ -245,7 +246,7 @@ func TestRewireAdversaryMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	NewRewireDenier(population.Point{}, 0.1).BindMatcher(tor)
+	BindMatcher(NewRewireDenier(population.Point{}, 0.1), tor)
 }
 
 func TestSpatialStrategyNames(t *testing.T) {
@@ -320,5 +321,66 @@ func TestPatchComboLeftoverReassigned(t *testing.T) {
 	combo.Act(v, b, prng.New(2))
 	if del, ins := len(b.Deletions()), len(b.Inserts()); del != 0 || ins != 4 {
 		t.Errorf("empty ball: del=%d ins=%d, want 0 deletions and the full budget inserted", del, ins)
+	}
+}
+
+// TestWalksReachThroughWrappers pins the package-level walks: BindMatcher
+// reaches a RewireAdversary nested two wrappers deep, EncodeState and
+// DecodeState visit every Stateful leaf in structural order, and HasState
+// reports a section for every wrapper — even one whose parts carry no state.
+func TestWalksReachThroughWrappers(t *testing.T) {
+	build := func() (Adversary, *RewireAdversary, *PatchCombo, *PatchCombo) {
+		ra := NewRewireDenier(population.Point{X: 0.5}, 0.1)
+		pc1 := NewPatchCombo(population.Point{}, 0.05, nil)
+		pc2 := NewPatchCombo(population.Point{}, 0.05, nil)
+		tree := &Alternator{A: NewPaced(3, NewComposite("", pc1, ra)), B: pc2}
+		return tree, ra, pc1, pc2
+	}
+	tree, ra, pc1, pc2 := build()
+	sw, err := match.NewSmallWorld(0.001, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	BindMatcher(tree, sw)
+	if ra.sw != sw {
+		t.Fatal("BindMatcher did not reach the nested RewireAdversary")
+	}
+
+	pc1.turn, pc2.turn = 3, 5
+	enc := wire.NewEnc()
+	enc.Begin(1)
+	EncodeState(tree, enc)
+	enc.End()
+	data := enc.Finish()
+
+	fresh, _, fc1, fc2 := build()
+	d, err := wire.NewDec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Begin(1)
+	if err := DecodeState(fresh, d); err != nil {
+		t.Fatal(err)
+	}
+	d.End()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if fc1.turn != 3 || fc2.turn != 5 {
+		t.Errorf("decoded turns (%d, %d), want (3, 5)", fc1.turn, fc2.turn)
+	}
+
+	for _, tc := range []struct {
+		adv  Adversary
+		want bool
+	}{
+		{NewGreedy(), false},
+		{pc1, true},
+		{NewComposite("", NewGreedy()), true},
+		{NewPaced(2, NewGreedy()), true},
+	} {
+		if got := HasState(tc.adv); got != tc.want {
+			t.Errorf("HasState(%s) = %v, want %v", tc.adv.Name(), got, tc.want)
+		}
 	}
 }

@@ -77,12 +77,8 @@ func (a *Alternator) Fingerprint() string {
 // alternation parity is the canonical case. The engine snapshot captures it
 // so a restored run continues the attack mid-stride; purely
 // round-clocked strategies (Paced, Trauma, Alternator's phase) derive their
-// behavior from View.GlobalRound and need nothing here.
-//
-// Wrapper strategies implement Stateful by delegating to their parts in a
-// fixed structural order, so presence and layout are pure functions of the
-// configuration — a snapshot and the configuration it restores into always
-// agree on the encoding.
+// behavior from View.GlobalRound and need nothing here. Wrappers never
+// implement it: EncodeState and DecodeState reach through them.
 type Stateful interface {
 	// EncodeState appends the strategy's mutable state to a snapshot.
 	EncodeState(e *wire.Enc)
@@ -91,19 +87,66 @@ type Stateful interface {
 	DecodeState(d *wire.Dec) error
 }
 
-// encodeStateOf appends adv's state if it is Stateful (wrappers use it for
-// delegation; a stateless part contributes nothing, keeping the layout a
-// pure function of the configuration tree).
-func encodeStateOf(adv Adversary, e *wire.Enc) {
-	if s, ok := adv.(Stateful); ok {
-		s.EncodeState(e)
+var _ Stateful = (*PatchCombo)(nil)
+
+// wrapper is implemented by the strategies that only combine others
+// (Paced, Composite, Alternator). The package-level walks — BindMatcher,
+// HasState, EncodeState, DecodeState — reach through wrappers, so a
+// wrapper forwards nothing by hand.
+type wrapper interface {
+	// parts lists the wrapped strategies in structural order.
+	parts() []Adversary
+}
+
+var (
+	_ wrapper = (*Paced)(nil)
+	_ wrapper = (*Composite)(nil)
+	_ wrapper = (*Alternator)(nil)
+)
+
+// leaves appends the strategies of adv's tree that are not wrappers to dst,
+// depth-first with parts in order. The order is a pure function of the
+// configuration, which is what makes the snapshot layout one.
+func leaves(adv Adversary, dst []Adversary) []Adversary {
+	w, ok := adv.(wrapper)
+	if !ok {
+		return append(dst, adv)
+	}
+	for _, p := range w.parts() {
+		dst = leaves(p, dst)
+	}
+	return dst
+}
+
+// HasState reports whether adv's snapshot carries an adversary section:
+// adv is Stateful, or it is a wrapper. A wrapper's section is present even
+// when every part is stateless (and then empty) — the snapshot layout
+// stored checkpoints already use.
+func HasState(adv Adversary) bool {
+	_, st := adv.(Stateful)
+	_, w := adv.(wrapper)
+	return st || w
+}
+
+// EncodeState appends the state of every Stateful strategy in adv's tree,
+// in structural order; stateless strategies contribute nothing.
+func EncodeState(adv Adversary, e *wire.Enc) {
+	for _, a := range leaves(adv, nil) {
+		if s, ok := a.(Stateful); ok {
+			s.EncodeState(e)
+		}
 	}
 }
 
-// decodeStateOf mirrors encodeStateOf.
-func decodeStateOf(adv Adversary, d *wire.Dec) error {
-	if s, ok := adv.(Stateful); ok {
-		return s.DecodeState(d)
+// DecodeState mirrors EncodeState on a strategy tree built from the same
+// configuration.
+func DecodeState(adv Adversary, d *wire.Dec) error {
+	for _, a := range leaves(adv, nil) {
+		if s, ok := a.(Stateful); ok {
+			if err := s.DecodeState(d); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -117,48 +160,3 @@ func (pc *PatchCombo) DecodeState(d *wire.Dec) error {
 	pc.turn = d.U64()
 	return d.Err()
 }
-
-// EncodeState implements Stateful by delegation to the throttled strategy.
-func (p *Paced) EncodeState(e *wire.Enc) { encodeStateOf(p.Inner, e) }
-
-// DecodeState implements Stateful.
-func (p *Paced) DecodeState(d *wire.Dec) error { return decodeStateOf(p.Inner, d) }
-
-// EncodeState implements Stateful by delegation to every part, in order.
-func (c *Composite) EncodeState(e *wire.Enc) {
-	for _, p := range c.Parts {
-		encodeStateOf(p, e)
-	}
-}
-
-// DecodeState implements Stateful.
-func (c *Composite) DecodeState(d *wire.Dec) error {
-	for _, p := range c.Parts {
-		if err := decodeStateOf(p, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncodeState implements Stateful by delegation to both phases.
-func (a *Alternator) EncodeState(e *wire.Enc) {
-	encodeStateOf(a.A, e)
-	encodeStateOf(a.B, e)
-}
-
-// DecodeState implements Stateful.
-func (a *Alternator) DecodeState(d *wire.Dec) error {
-	if err := decodeStateOf(a.A, d); err != nil {
-		return err
-	}
-	return decodeStateOf(a.B, d)
-}
-
-// Compile-time checks that the wrappers delegate.
-var (
-	_ Stateful = (*PatchCombo)(nil)
-	_ Stateful = (*Paced)(nil)
-	_ Stateful = (*Composite)(nil)
-	_ Stateful = (*Alternator)(nil)
-)

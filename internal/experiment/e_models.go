@@ -2,10 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"popstab/internal/baseline"
-	"popstab/internal/geo"
+	"popstab/internal/match"
 	"popstab/internal/params"
+	"popstab/internal/population"
 	"popstab/internal/protocol"
 	"popstab/internal/sim"
 	"popstab/internal/stats"
@@ -65,21 +67,29 @@ func runA5(cfg Config) (*Result, error) {
 		fmtF(float64(uc.EvalDeaths)/float64(epochs)),
 		fmtI(eng.Size()))
 
-	// Spatial arm (Workers: 1 like every suite engine; output is identical
-	// for any worker count).
-	geng, err := geo.New(geo.Config{Params: p, Seed: cfg.Seed, Workers: 1})
+	// Spatial arm: the torus with daughters placed one mean spacing 1/√N
+	// from their parent (Workers: 1 like every suite engine; output is
+	// identical for any worker count).
+	gpr, err := protocol.New(p)
+	if err != nil {
+		return nil, err
+	}
+	torus, err := match.NewTorus(1 / math.Sqrt(float64(p.N)))
+	if err != nil {
+		return nil, err
+	}
+	geng, err := sim.New(sim.Config{Params: p, Protocol: gpr, Matcher: torus, Seed: cfg.Seed, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
 	var geoFrac stats.Summary
+	var probe match.Pairing
 	for ep := 0; ep < epochs; ep++ {
-		for r := 0; r < p.T-1; r++ {
-			geng.RunRound()
-		}
-		geoFrac.Add(geoSameColorFraction(geng))
+		geng.RunRounds(p.T - 1)
+		geoFrac.Add(geoSameColorFraction(geng.Population(), torus, &probe))
 		geng.RunRound()
 	}
-	gc := geng.Protocol().Counters()
+	gc := gpr.Counters()
 	table.AddRow("nearest-neighbor", fmtF(geoFrac.Mean()),
 		fmtF(float64(gc.EvalSplits)/float64(epochs)),
 		fmtF(float64(gc.EvalDeaths)/float64(epochs)),
@@ -115,10 +125,28 @@ func sameColorPairFraction(eng *sim.Engine) float64 {
 	return base + excess
 }
 
-// geoSameColorFraction measures the same-color fraction of actually matched
-// colored pairs in the spatial engine.
-func geoSameColorFraction(e *geo.Engine) float64 {
-	same, diff := e.SampleColorAgreement()
+// geoSameColorFraction draws a fresh local matching over the current
+// population — from the torus's probe stream, so the simulation's matching
+// and placement randomness is untouched — and reports the same-color
+// fraction of its matched active pairs (0.5 when there are none). It does
+// not advance the simulation.
+func geoSameColorFraction(pop *population.Population, torus *match.Torus, probe *match.Pairing) float64 {
+	torus.SampleProbe(pop, probe)
+	same, diff := 0, 0
+	for i, j := range probe.Nbr {
+		if j == match.Unmatched || int(j) < i {
+			continue
+		}
+		a, b := pop.State(i), pop.State(int(j))
+		if !a.Active || !b.Active {
+			continue
+		}
+		if a.Color == b.Color {
+			same++
+		} else {
+			diff++
+		}
+	}
 	if same+diff == 0 {
 		return 0.5
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -26,13 +27,6 @@ type Grid struct {
 	spatial[gridGeom]
 }
 
-var (
-	_ Matcher    = (*Grid)(nil)
-	_ Binder     = (*Grid)(nil)
-	_ PoolSetter = (*Grid)(nil)
-	_ Space      = (*Grid)(nil)
-)
-
 // NewGrid validates sigma and returns an unbound Grid matcher.
 func NewGrid(sigma float64) (*Grid, error) {
 	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
@@ -41,10 +35,10 @@ func NewGrid(sigma float64) (*Grid, error) {
 	return &Grid{Sigma: sigma}, nil
 }
 
-// Bind implements Binder: initial and inserted agents uniform in the
+// Bind implements Spatial: initial and inserted agents uniform in the
 // square, daughters Gaussian around their parent (reflected at the walls).
-func (g *Grid) Bind(pop *population.Population, src *prng.Source) {
-	g.bind(pop, src,
+func (g *Grid) Bind(pop *population.Population, src *prng.Source, pl *pool.Pool) {
+	g.bind(pop, src, pl,
 		func() population.Point {
 			return population.Point{X: src.Float64(), Y: src.Float64()}
 		},

@@ -24,63 +24,73 @@ type Matcher interface {
 	Name() string
 }
 
-// Binder is implemented by Matchers that carry per-population state. The
-// engine calls Bind exactly once at construction, after the population
-// exists, handing the matcher a dedicated randomness stream (split from the
-// engine root after the protocol, scheduler, and adversary streams, so
-// binding never perturbs those). Bind typically attaches side-arrays via
-// population.Attach.
-type Binder interface {
-	Bind(pop *population.Population, src *prng.Source)
-}
+// Spatial is the one optional seam of a Matcher, implemented by the
+// spatial matchers (Torus, Grid, Ring, SmallWorld — all built on the
+// chassis of spatial.go). The engine type-asserts its matcher against
+// Spatial once, at construction, and reaches every spatial facility through
+// it: binding, geometry, the prebucket overlap, pipeline statistics, and
+// snapshot state. A plain scheduler adapter (FromScheduler) implements none
+// of it and needs none of it.
+type Spatial interface {
+	Matcher
 
-// PoolSetter is implemented by Matchers that shard their matching phase (the
-// spatial pipeline of spatial.go) on the engine's persistent worker pool.
-// The engine calls SetPool once at construction with the pool sized to its
-// resolved worker count. No pool ⇒ serial: a matcher that never receives
-// one (standalone use) runs every phase inline. Like the engine's Workers
-// knob, purely a throughput setting — output is bit-identical for every
-// pool size and with no pool at all.
-type PoolSetter interface {
-	SetPool(p *pool.Pool)
-}
+	// Bind attaches the matcher to its population, exactly once, before
+	// the first SampleMatch: it registers the position side-array via
+	// population.Attach, keeps src (a dedicated stream the engine splits
+	// from its root after the protocol, scheduler, and adversary streams,
+	// so binding never perturbs those) for placement, and runs the sharded
+	// pipeline phases on pool. A nil pool runs every phase inline; like
+	// the engine's Workers knob, the pool is purely a throughput setting —
+	// output is bit-identical for every pool size and with none.
+	Bind(pop *population.Population, src *prng.Source, pool *pool.Pool)
 
-// Space is implemented by spatial Matchers and describes their geometry to
-// position-aware consumers — the adversary seam above all. The engine
-// type-asserts its matcher against Space at construction and, when present,
-// threads positions and metric into the adversary's View/Mutator (DESIGN.md
-// §7): the paper's adversary observes the full state of the system, and on a
-// spatial topology the positions are part of that state, not an
-// implementation detail.
-type Space interface {
 	// Positions exposes the bound position side-array (nil before Bind).
+	// With Dist2 and PatchPoint it describes the geometry to the
+	// adversary seam (DESIGN.md §7): the paper's adversary observes the
+	// full state of the system, and on a spatial topology the positions
+	// are part of that state.
 	Positions() *population.Positions
 	// Dist2 is the squared distance between two positions under this
 	// topology's metric (wrapped, Euclidean, or circular).
 	Dist2(a, b population.Point) float64
 	// PatchPoint draws a position uniformly at random within distance r of
-	// center under this topology's geometry, consuming src. Callers own src:
-	// the adversary passes its private stream, so patch sampling never
-	// perturbs the matcher's placement stream.
+	// center under this topology's geometry, consuming src. Callers own
+	// src: the adversary passes its private stream, so patch sampling
+	// never perturbs the matcher's placement stream.
 	PatchPoint(center population.Point, r float64, src *prng.Source) population.Point
-}
 
-// Prebucketer is implemented by Matchers whose first pipeline phase — a
-// pure function of the positions — can run ahead of the sample itself. The
-// engine uses it to overlap the spatial bucketing phase with the serial
-// adversary staging turn (DESIGN.md §12): staging only reads positions, so
-// the two are independent, and a turn that does alter the population drops
-// the prebucket. Purely a throughput seam — a matcher that is never
-// prebucketed produces identical output.
-type Prebucketer interface {
-	// PreBucket runs the bucketing phase for a population of n agents. The
-	// next sample over exactly n agents reuses it; PreBucket must
-	// happen-before that sample, with no position mutation in between.
+	// PreBucket runs the bucketing phase — a pure function of the
+	// positions — for a population of n agents ahead of the sample; the
+	// engine overlaps it with the serial adversary staging turn (DESIGN.md
+	// §12). The next sample over exactly n agents reuses it; PreBucket
+	// must happen-before that sample, with no position mutation in
+	// between. A matcher never prebucketed produces identical output.
 	PreBucket(n int)
 	// DropPrebucket discards a pending PreBucket. Call after any mutation
 	// that moves, adds, or removes agents.
 	DropPrebucket()
+
+	// PipelineStats reports the cumulative per-phase pipeline counters.
+	// Read from serial phases only.
+	PipelineStats() PipelineStats
+
+	// EncodeState appends the matcher's mutable per-run state — placement
+	// and probe streams, sample counters, position side-array — to a
+	// snapshot (DESIGN.md §8), so a restored run replays placement and
+	// rewiring randomness exactly. Serial phases only.
+	EncodeState(e *wire.Enc)
+	// DecodeState reinstates state captured by EncodeState on a matcher
+	// built from the same configuration and already bound to its
+	// population. Serial phases only.
+	DecodeState(d *wire.Dec) error
 }
+
+var (
+	_ Spatial = (*Torus)(nil)
+	_ Spatial = (*Grid)(nil)
+	_ Spatial = (*Ring)(nil)
+	_ Spatial = (*SmallWorld)(nil)
+)
 
 // PipelineStats are cumulative counters of the spatial matching pipeline,
 // incremented once per sample (match and probe samples both count). Times
@@ -120,27 +130,6 @@ func (s PipelineStats) Sub(prev PipelineStats) PipelineStats {
 		SpecWalks:   s.SpecWalks - prev.SpecWalks,
 		SerialWalks: s.SerialWalks - prev.SerialWalks,
 	}
-}
-
-// PhaseReporter is implemented by Matchers that expose per-phase pipeline
-// statistics (the spatial chassis). Read from serial phases only.
-type PhaseReporter interface {
-	PipelineStats() PipelineStats
-}
-
-// Stateful is implemented by Matchers that carry mutable per-run state —
-// the spatial chassis's placement/probe streams, sample counters, and
-// position side-array. The engine's snapshot (DESIGN.md §8) captures it so
-// a restored run replays placement and rewiring randomness exactly;
-// stateless matchers (the scheduler adapters) simply don't implement it.
-// Both methods run from serial phases only.
-type Stateful interface {
-	// EncodeState appends the matcher's mutable state to a snapshot.
-	EncodeState(e *wire.Enc)
-	// DecodeState reinstates state captured by EncodeState on a matcher
-	// built from the same configuration and already bound to its
-	// population.
-	DecodeState(d *wire.Dec) error
 }
 
 // FromScheduler adapts a size-only Scheduler into a Matcher. The adaptation

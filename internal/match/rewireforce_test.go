@@ -32,7 +32,7 @@ func TestRewireForceTargetsPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pop := population.New(n)
-	sw.Bind(pop, prng.New(41))
+	sw.Bind(pop, prng.New(41), nil)
 	sw.SetRewireController(tgt)
 
 	inPatch := func(i int32) bool {
@@ -75,7 +75,7 @@ func TestRewireForceEmptyPatchFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	pop := population.New(n)
-	sw.Bind(pop, prng.New(51))
+	sw.Bind(pop, prng.New(51), nil)
 	// Squeeze everyone into [0, 0.5) so the arc around 0.75 is empty.
 	for i := 0; i < n; i++ {
 		pt := sw.Positions().At(i)
@@ -102,7 +102,7 @@ func TestRewireForceWorkerInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		pop := population.New(n)
-		sw.Bind(pop, prng.New(61))
+		sw.Bind(pop, prng.New(61), nil)
 		sw.SetRewireController(forceAllTargeter{center: population.Point{X: 0.7}, r: 0.03})
 		attachPool(t, sw, workers)
 		var p Pairing

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -26,13 +27,6 @@ type Ring struct {
 	spatial[ringGeom]
 }
 
-var (
-	_ Matcher    = (*Ring)(nil)
-	_ Binder     = (*Ring)(nil)
-	_ PoolSetter = (*Ring)(nil)
-	_ Space      = (*Ring)(nil)
-)
-
 // NewRing validates sigma and returns an unbound Ring matcher.
 func NewRing(sigma float64) (*Ring, error) {
 	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
@@ -41,10 +35,10 @@ func NewRing(sigma float64) (*Ring, error) {
 	return &Ring{Sigma: sigma}, nil
 }
 
-// Bind implements Binder: initial and inserted agents uniform on the
+// Bind implements Spatial: initial and inserted agents uniform on the
 // circle, daughters Gaussian around their parent.
-func (r *Ring) Bind(pop *population.Population, src *prng.Source) {
-	r.bind(pop, src,
+func (r *Ring) Bind(pop *population.Population, src *prng.Source, pl *pool.Pool) {
+	r.bind(pop, src, pl,
 		func() population.Point {
 			return population.Point{X: src.Float64()}
 		},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -49,9 +50,7 @@ type SmallWorld struct {
 	key uint64
 	// ctl is the adversary's rewiring override (nil = pure β coin).
 	ctl RewireController
-	// tgt is ctl's optional candidate-targeting facet, cached at install.
-	tgt RewireTargeter
-	// targets is the per-sample list of agents inside the targeter's ball,
+	// targets is the per-sample list of agents inside the controller's ball,
 	// rebuilt serially by the prematch hook (ascending index order) and
 	// read concurrently — but never written — by the sharded candidate
 	// phase.
@@ -77,48 +76,41 @@ const (
 // how insertions and swap-deletions reshuffled indices since the adversary's
 // turn).
 //
+// The controller may also aim the links it forces: when RewireTarget
+// reports a ball, every agent forced to rewire (RewireForce only — a
+// successful β coin under RewireDefault is NOT affected) draws its
+// long-range candidates uniformly from the agents currently inside the
+// ball instead of from the whole population: the adversary drags links
+// INTO a patch, coupling the population to the patch residents. An empty
+// ball falls back to uniform long-range draws.
+//
 // Concurrency/determinism contract: Mode is called concurrently from the
 // sharded candidate phase and must be a pure read — any state it consults
 // must be written only in the serial phases of the round (the adversary's
 // turn precedes the matching), and its answer must depend only on (i, pt)
-// and that state, never on shard boundaries or call order.
+// and that state, never on shard boundaries or call order. RewireTarget is
+// consulted once per sample, serially, before the sharded phases; it too
+// must be a pure read of serially-written state.
 type RewireController interface {
 	Mode(i int, pt population.Point) RewireMode
-}
-
-// RewireTargeter is the optional second facet of a RewireController: a
-// controller that also aims the links it forces. When the installed
-// controller implements it and reports a ball, every agent it rewires
-// (RewireForce, or a successful β coin under RewireDefault is NOT affected
-// — only forced agents) draws its long-range candidates uniformly from the
-// agents currently inside the ball instead of from the whole population:
-// the adversary drags links INTO a patch, coupling the population to the
-// patch residents. An empty ball falls back to uniform long-range draws.
-//
-// RewireTarget is consulted once per sample, serially, before the sharded
-// phases; like Mode it must be a pure read of serially-written state.
-type RewireTargeter interface {
 	// RewireTarget reports the target ball; ok false disables targeting.
 	RewireTarget() (center population.Point, r float64, ok bool)
 }
 
 // SetRewireController installs (or, with nil, removes) the adversary's
 // rewiring override. Serial phases only.
-func (m *SmallWorld) SetRewireController(c RewireController) {
-	m.ctl = c
-	m.tgt, _ = c.(RewireTargeter)
-}
+func (m *SmallWorld) SetRewireController(c RewireController) { m.ctl = c }
 
-// buildTargets is the prematch hook: when a targeter reports a ball, it
+// buildTargets is the prematch hook: when the controller reports a ball, it
 // collects the agents inside it in ascending index order. Running serially
 // before the sharded candidate phase makes the list identical for every
 // worker count, so forced-candidate draws stay worker-invariant.
 func (m *SmallWorld) buildTargets(n int) {
 	m.targets = m.targets[:0]
-	if m.tgt == nil {
+	if m.ctl == nil {
 		return
 	}
-	center, r, ok := m.tgt.RewireTarget()
+	center, r, ok := m.ctl.RewireTarget()
 	if !ok || r < 0 {
 		return
 	}
@@ -129,13 +121,6 @@ func (m *SmallWorld) buildTargets(n int) {
 		}
 	}
 }
-
-var (
-	_ Matcher    = (*SmallWorld)(nil)
-	_ Binder     = (*SmallWorld)(nil)
-	_ PoolSetter = (*SmallWorld)(nil)
-	_ Space      = (*SmallWorld)(nil)
-)
 
 // NewSmallWorld validates sigma and beta and returns an unbound SmallWorld
 // matcher.
@@ -149,11 +134,11 @@ func NewSmallWorld(sigma, beta float64) (*SmallWorld, error) {
 	return &SmallWorld{Sigma: sigma, Beta: beta}, nil
 }
 
-// Bind implements Binder: ring placement (uniform on the circle, daughters
+// Bind implements Spatial: ring placement (uniform on the circle, daughters
 // 1-D Gaussian around their parent) plus the rewiring key draw.
-func (m *SmallWorld) Bind(pop *population.Population, src *prng.Source) {
+func (m *SmallWorld) Bind(pop *population.Population, src *prng.Source, pl *pool.Pool) {
 	m.key = src.Uint64()
-	m.bind(pop, src,
+	m.bind(pop, src, pl,
 		func() population.Point {
 			return population.Point{X: src.Float64()}
 		},

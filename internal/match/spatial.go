@@ -54,7 +54,7 @@ import (
 //     than this loop, because its validation pass is itself a serial scan
 //     of the visit order doing the same reads and writes (DESIGN.md §12).
 //
-// The sharded phases run on the engine's worker pool (SetPool); a matcher
+// The sharded phases run on the worker pool handed to Bind; a matcher bound
 // with no pool — standalone use — runs them inline.
 //
 // # Tie-breaking rule
@@ -120,7 +120,7 @@ type geometry[G any] interface {
 // Concrete matchers embed it and call bind from their Bind.
 type spatial[G geometry[G]] struct {
 	geo G
-	// pool, when set (SetPool), runs the sharded phases on the engine's
+	// pool, when set at Bind, runs the sharded phases on the engine's
 	// persistent worker pool; without one (standalone use) they run inline.
 	// Output is identical either way.
 	pool *pool.Pool
@@ -148,7 +148,7 @@ type spatial[G geometry[G]] struct {
 	// hook's counter streams.
 	calls, probeCalls uint64
 
-	// stats accumulates the per-phase pipeline counters (PhaseReporter).
+	// stats accumulates the per-phase pipeline counters (PipelineStats).
 	stats PipelineStats
 
 	// preValid marks a pending PreBucket for exactly preN agents; the next
@@ -173,40 +173,36 @@ type spatial[G geometry[G]] struct {
 // streams so probing can never replay or perturb simulation randomness.
 const probeBit = uint64(1) << 63
 
-// bind attaches the position side-array (placement via the given closures)
-// and captures the matcher streams. Call exactly once, before the first
-// SampleMatch.
-func (s *spatial[G]) bind(pop *population.Population, src *prng.Source, place func() population.Point, spawn func(population.Point) population.Point) {
+// bind attaches the position side-array (placement via the given closures),
+// captures the matcher streams, and keeps the pipeline's pool. Call exactly
+// once, before the first SampleMatch.
+func (s *spatial[G]) bind(pop *population.Population, src *prng.Source, pl *pool.Pool, place func() population.Point, spawn func(population.Point) population.Point) {
 	if s.pos != nil {
 		panic("match: spatial matcher bound twice")
 	}
+	s.pool = pl
 	s.src = src
 	s.probeSrc = src.Split()
 	s.pos = &population.Positions{Place: population.PlaceFunc(place), Spawn: spawn}
 	pop.Attach(s.pos)
 }
 
-// Positions implements Space: the bound position side-array (nil before
+// Positions implements Spatial: the bound position side-array (nil before
 // Bind).
 func (s *spatial[G]) Positions() *population.Positions { return s.pos }
 
-// Dist2 implements Space with the geometry's metric. The metric is position-
+// Dist2 implements Spatial with the geometry's metric. The metric is position-
 // only (bucket resolution does not enter it), so it is valid before the
 // first SampleMatch.
 func (s *spatial[G]) Dist2(a, b population.Point) float64 { return s.geo.dist2(a, b) }
 
-// PatchPoint implements Space: a uniform draw within distance r of center
+// PatchPoint implements Spatial: a uniform draw within distance r of center
 // under the geometry, from the caller's stream.
 func (s *spatial[G]) PatchPoint(center population.Point, r float64, src *prng.Source) population.Point {
 	return s.geo.patch(src, center, r)
 }
 
-// SetPool implements PoolSetter: the sharded phases run on the engine's
-// parked workers. Purely a throughput setting — output is bit-identical
-// for every pool size, and with no pool at all.
-func (s *spatial[G]) SetPool(p *pool.Pool) { s.pool = p }
-
-// PipelineStats implements PhaseReporter: the cumulative per-phase counters
+// PipelineStats implements Spatial: the cumulative per-phase counters
 // of the matching pipeline since construction.
 func (s *spatial[G]) PipelineStats() PipelineStats { return s.stats }
 
@@ -265,7 +261,7 @@ func (s *spatial[G]) SampleProbe(pop *population.Population, p *Pairing) {
 	s.sample(pop.Len(), s.probeSrc, p, s.probeCalls|probeBit)
 }
 
-// PreBucket implements Prebucketer: it runs phase 1 (bucketing) of the next
+// PreBucket implements Spatial: it runs phase 1 (bucketing) of the next
 // sample early, for callers that can overlap it with serial work that does
 // not move positions — the engine overlaps it with the adversary's staging
 // turn (DESIGN.md §12). The next sample over exactly n agents reuses the
@@ -287,7 +283,7 @@ func (s *spatial[G]) PreBucket(n int) {
 	s.preValid = true
 }
 
-// DropPrebucket implements Prebucketer: it discards a pending PreBucket.
+// DropPrebucket implements Spatial: it discards a pending PreBucket.
 // The engine calls it after applying adversary alterations, which move,
 // add, or remove agents.
 func (s *spatial[G]) DropPrebucket() { s.preValid = false }
@@ -301,7 +297,7 @@ func (s *spatial[G]) bucket(g G, pos []population.Point, n int) {
 	})
 }
 
-// EncodeState implements Stateful: the placement and probe streams, the
+// EncodeState implements Spatial: the placement and probe streams, the
 // sample counters keying the rewrite hook's counter streams, and the
 // position side-array (live positions plus any queued placements). The
 // geometry itself and the matcher key are construction-time wiring,
@@ -321,7 +317,7 @@ func (s *spatial[G]) EncodeState(e *wire.Enc) {
 	s.pos.EncodeState(e)
 }
 
-// DecodeState implements Stateful; the matcher must already be bound.
+// DecodeState implements Spatial; the matcher must already be bound.
 func (s *spatial[G]) DecodeState(d *wire.Dec) error {
 	if s.pos == nil {
 		return errDecodeUnbound

@@ -23,7 +23,7 @@ func benchTorusSample(b *testing.B, workers int) {
 		b.Fatal(err)
 	}
 	pop := population.New(n)
-	tor.Bind(pop, prng.New(1))
+	tor.Bind(pop, prng.New(1), nil)
 	attachPool(b, tor, workers)
 	src := prng.New(2)
 	var p Pairing
@@ -43,7 +43,7 @@ func BenchmarkTorusMatchReferenceSerialN1048576(b *testing.B) {
 		b.Fatal(err)
 	}
 	pop := population.New(n)
-	tor.Bind(pop, prng.New(1))
+	tor.Bind(pop, prng.New(1), nil)
 	pos := tor.Positions().Slice()
 	src := prng.New(2)
 	var p Pairing

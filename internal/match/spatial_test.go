@@ -159,7 +159,7 @@ func buildSpatial(t *testing.T, name string, n int, seed uint64) (Matcher, *popu
 		t.Fatal(err)
 	}
 	pop := population.New(n)
-	m.(Binder).Bind(pop, prng.New(seed))
+	m.(Spatial).Bind(pop, prng.New(seed), nil)
 	return m, pop
 }
 
@@ -180,14 +180,18 @@ func positionsOf(t *testing.T, m Matcher) *population.Positions {
 	return nil
 }
 
-// attachPool gives m a worker pool of the given size, closed when the test
-// ends.
+// attachPool gives a bound matcher a worker pool of the given size, closed
+// when the test ends. Production matchers receive their pool once, at
+// Bind; tests swap it to run one bound matcher at several pool sizes.
 func attachPool(tb testing.TB, m Matcher, workers int) {
 	tb.Helper()
 	pl := pool.New(workers)
 	tb.Cleanup(pl.Close)
-	m.(PoolSetter).SetPool(pl)
+	m.(interface{ setPool(*pool.Pool) }).setPool(pl)
 }
+
+// setPool is attachPool's lever on the chassis.
+func (s *spatial[G]) setPool(p *pool.Pool) { s.pool = p }
 
 // shapePositions rewrites a gallery matcher's positions into one of the
 // density shapes the pipeline must survive: "uniform" (as bound), "patchy"
@@ -360,10 +364,11 @@ func TestSpatialHermitsStayUnmatched(t *testing.T) {
 	}
 }
 
-// TestPreBucketReuseAndDrop pins the Prebucketer contract on the spatial
-// chassis: a PreBucket for exactly the sampled n is consumed and yields the
-// identical pairing; a PreBucket for a stale n is ignored; DropPrebucket
-// discards a pending one so a subsequent sample rebuckets fresh positions.
+// TestPreBucketReuseAndDrop pins the PreBucket/DropPrebucket contract on
+// the spatial chassis: a PreBucket for exactly the sampled n is consumed and
+// yields the identical pairing; a PreBucket for a stale n is ignored;
+// DropPrebucket discards a pending one so a subsequent sample rebuckets
+// fresh positions.
 func TestPreBucketReuseAndDrop(t *testing.T) {
 	const n = 4096
 	twin := func() (Matcher, *population.Population) { return buildSpatial(t, "torus", n, 55) }
@@ -371,7 +376,7 @@ func TestPreBucketReuseAndDrop(t *testing.T) {
 	// Prebucket + sample vs plain sample.
 	m1, pop1 := twin()
 	m2, pop2 := twin()
-	m1.(Prebucketer).PreBucket(pop1.Len())
+	m1.(Spatial).PreBucket(pop1.Len())
 	var got, want Pairing
 	m1.SampleMatch(pop1, prng.New(9), &got)
 	m2.SampleMatch(pop2, prng.New(9), &want)
@@ -382,7 +387,7 @@ func TestPreBucketReuseAndDrop(t *testing.T) {
 	}
 
 	// A stale-n prebucket must be ignored, not half-used.
-	m1.(Prebucketer).PreBucket(pop1.Len())
+	m1.(Spatial).PreBucket(pop1.Len())
 	pop1.Insert(pop1.State(0))
 	pop2.Insert(pop2.State(0))
 	m1.SampleMatch(pop1, prng.New(10), &got)
@@ -401,9 +406,9 @@ func TestPreBucketReuseAndDrop(t *testing.T) {
 			pos[i] = population.Point{X: mut.Float64(), Y: mut.Float64()}
 		}
 	}
-	m1.(Prebucketer).PreBucket(pop1.Len())
+	m1.(Spatial).PreBucket(pop1.Len())
 	scramble(m1)
-	m1.(Prebucketer).DropPrebucket()
+	m1.(Spatial).DropPrebucket()
 	scramble(m2)
 	m1.SampleMatch(pop1, prng.New(11), &got)
 	m2.SampleMatch(pop2, prng.New(11), &want)
@@ -414,13 +419,13 @@ func TestPreBucketReuseAndDrop(t *testing.T) {
 	}
 }
 
-// TestPipelineStatsAccumulate pins the PhaseReporter counters: samples and
+// TestPipelineStatsAccumulate pins the PipelineStats counters: samples and
 // per-phase times accumulate, every walk is serial, and Sub yields deltas.
 func TestPipelineStatsAccumulate(t *testing.T) {
 	const n = 4096
 	m, pop := buildSpatial(t, "torus", n, 77)
 	attachPool(t, m, 2)
-	rep := m.(PhaseReporter)
+	rep := m.(Spatial)
 	src := prng.New(3)
 	var p Pairing
 	m.SampleMatch(pop, src, &p)
@@ -595,7 +600,7 @@ func TestGridBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Bind(population.New(16), prng.New(5))
+	g.Bind(population.New(16), prng.New(5), nil)
 	for i := 0; i < 1000; i++ {
 		d := g.daughter(population.Point{X: 0.02, Y: 0.98})
 		if d.X < 0 || d.X >= 1 || d.Y < 0 || d.Y >= 1 {
@@ -615,7 +620,7 @@ func TestSmallWorldBetaEndpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		pop := population.New(n)
-		sw.Bind(pop, prng.New(21))
+		sw.Bind(pop, prng.New(21), nil)
 		var p Pairing
 		sw.SampleMatch(pop, prng.New(22), &p)
 		if err := p.Validate(); err != nil {
@@ -660,7 +665,7 @@ func TestSmallWorldProbeDoesNotPerturb(t *testing.T) {
 			t.Fatal(err)
 		}
 		pop := population.New(n)
-		sw.Bind(pop, prng.New(31))
+		sw.Bind(pop, prng.New(31), nil)
 		src := prng.New(32)
 		var p Pairing
 		sw.SampleMatch(pop, src, &p)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -34,13 +35,6 @@ type Torus struct {
 	spatial[torusGeom]
 }
 
-var (
-	_ Matcher    = (*Torus)(nil)
-	_ Binder     = (*Torus)(nil)
-	_ PoolSetter = (*Torus)(nil)
-	_ Space      = (*Torus)(nil)
-)
-
 // NewTorus validates sigma and returns an unbound Torus matcher.
 func NewTorus(sigma float64) (*Torus, error) {
 	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
@@ -49,12 +43,12 @@ func NewTorus(sigma float64) (*Torus, error) {
 	return &Torus{Sigma: sigma}, nil
 }
 
-// Bind implements Binder: it attaches the position side-array (initial and
+// Bind implements Spatial: it attaches the position side-array (initial and
 // inserted agents uniform on the torus, daughters Gaussian around their
-// parent) and keeps src for placement randomness. Bind must be called
-// exactly once, before the first SampleMatch.
-func (t *Torus) Bind(pop *population.Population, src *prng.Source) {
-	t.bind(pop, src,
+// parent), keeps src for placement randomness, and shards its pipeline on
+// pl. Bind must be called exactly once, before the first SampleMatch.
+func (t *Torus) Bind(pop *population.Population, src *prng.Source, pl *pool.Pool) {
+	t.bind(pop, src, pl,
 		func() population.Point {
 			return population.Point{X: src.Float64(), Y: src.Float64()}
 		},

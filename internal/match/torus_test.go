@@ -55,7 +55,7 @@ func boundTorus(t *testing.T, n int, seed uint64) (*Torus, *population.Populatio
 		t.Fatal(err)
 	}
 	pop := population.New(n)
-	tor.Bind(pop, prng.New(seed))
+	tor.Bind(pop, prng.New(seed), nil)
 	return tor, pop
 }
 

@@ -171,28 +171,19 @@ func (r *Registry) OnCollect(fn func()) {
 // Counter returns the counter registered under name and labels (alternating
 // key, value pairs), creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.register(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.register(name, help, kindCounter, labels, nil, nil).counter
 }
 
 // Gauge returns the gauge registered under name and labels, creating it on
 // first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.register(name, help, kindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, help, kindGauge, labels, nil, nil).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at exposition
 // time. Re-registering the same name+labels replaces fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.register(name, help, kindGauge, labels)
-	s.gaugeFn = fn
+	r.register(name, help, kindGauge, labels, nil, fn)
 }
 
 // Histogram returns the histogram registered under name and labels with the
@@ -202,13 +193,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	if len(buckets) == 0 {
 		panic("obs: histogram " + name + " needs at least one bucket")
 	}
-	s := r.register(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		up := append([]float64(nil), buckets...)
-		sort.Float64s(up)
-		s.hist = &Histogram{uppers: up, counts: make([]atomic.Uint64, len(up)+1)}
-	}
-	return s.hist
+	return r.register(name, help, kindHistogram, labels, buckets, nil).hist
 }
 
 // Unregister removes the metric under name+labels; when the family empties
@@ -243,7 +228,13 @@ func (r *Registry) Unregister(name string, labels ...string) {
 	}
 }
 
-func (r *Registry) register(name, help string, kind metricKind, labels []string) *sample {
+// register finds or creates the sample under name+labels. A new sample's
+// metric is created here, under r.mu, so concurrent first callers share one
+// metric and a scrape never sees a sample without one; the metric pointer
+// never changes afterwards, so callers may read it once the lock is
+// released. A non-nil fn (GaugeFunc) replaces the sample's gauge function,
+// also under the lock.
+func (r *Registry) register(name, help string, kind metricKind, labels []string, buckets []float64, fn func() float64) *sample {
 	if !validName(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
@@ -272,8 +263,21 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 	s := f.samples[sig]
 	if s == nil {
 		s = &sample{labels: append([]string(nil), labels...)}
+		switch kind {
+		case kindCounter:
+			s.counter = &Counter{}
+		case kindGauge:
+			s.gauge = &Gauge{}
+		case kindHistogram:
+			up := append([]float64(nil), buckets...)
+			sort.Float64s(up)
+			s.hist = &Histogram{uppers: up, counts: make([]atomic.Uint64, len(up)+1)}
+		}
 		f.samples[sig] = s
 		f.order = append(f.order, sig)
+	}
+	if fn != nil {
+		s.gaugeFn = fn
 	}
 	return s
 }

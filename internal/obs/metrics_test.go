@@ -345,6 +345,67 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentFirstRegistration races first registration of the
+// same labelled series from several goroutines against a scraper. Every
+// caller must get the one metric the registry exposes — a lazily filled
+// sample would hand racing first callers different objects and lose their
+// increments, and let a scrape read a sample with no metric yet. Under
+// -race this is the data-race gate for registration.
+func TestRegistryConcurrentFirstRegistration(t *testing.T) {
+	const workers, series, perSeries = 4, 64, 10
+	r := NewRegistry()
+	stop := make(chan struct{})
+	var scrapeWG sync.WaitGroup
+	scrapeWG.Add(1)
+	go func() {
+		defer scrapeWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				var b strings.Builder
+				if err := r.WritePrometheus(&b); err != nil {
+					t.Errorf("concurrent scrape: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < series; i++ {
+				id := strconv.Itoa(i)
+				for k := 0; k < perSeries; k++ {
+					r.Counter("race_total", "Raced counter.", "series", id).Inc()
+					r.Gauge("race_gauge", "Raced gauge.", "series", id).Add(1)
+					r.Histogram("race_seconds", "Raced histogram.", DefBuckets, "series", id).Observe(0.001)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	scrapeWG.Wait()
+
+	const want = workers * perSeries
+	for i := 0; i < series; i++ {
+		id := strconv.Itoa(i)
+		if got := r.Counter("race_total", "Raced counter.", "series", id).Value(); got != want {
+			t.Errorf("series %s: counter = %d, want %d", id, got, want)
+		}
+		if got := r.Gauge("race_gauge", "Raced gauge.", "series", id).Value(); got != want {
+			t.Errorf("series %s: gauge = %v, want %d", id, got, want)
+		}
+		if got := r.Histogram("race_seconds", "Raced histogram.", DefBuckets, "series", id).Count(); got != want {
+			t.Errorf("series %s: histogram count = %d, want %d", id, got, want)
+		}
+	}
+}
+
 func TestRegistryIdempotentAndSorted(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("zeta_total", "z")

@@ -414,7 +414,7 @@ type Config struct {
 	// cohort and the per-epoch infiltration — within Cluster.Radius of
 	// Cluster.Center under the spatial matcher's geometry, through the
 	// population.Positions placement seam: the adversary chooses where its
-	// agents appear. Requires a spatial Matcher (match.Space); the
+	// agents appear. Requires a spatial Matcher (match.Spatial); the
 	// patch-attack seeding of experiment A9.
 	Cluster *ClusterSpec
 	// Adversary additionally attacks the protocol state every round within
@@ -507,7 +507,7 @@ func NewEngine(cfg Config, inner sim.Stepper) (*Engine, error) {
 // drew oblivious uniform positions — and the patch placer for all future
 // InsertRogue calls.
 func installCluster(cfg Config, overlay *Overlay) error {
-	sp, ok := cfg.Matcher.(match.Space)
+	sp, ok := cfg.Matcher.(match.Spatial)
 	if !ok {
 		return errors.New("rogue: Cluster requires a spatial Matcher")
 	}

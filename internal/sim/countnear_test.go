@@ -147,7 +147,7 @@ func TestCountNearExact(t *testing.T) {
 			}
 			const n = 16
 			probeEngine(t, m, func(v adversary.View) {
-				sp := m.(match.Space)
+				sp := m.(match.Spatial)
 				for i := 0; i < v.Len(); i++ {
 					sp.Positions().SetAt(i, tc.layout(i%n))
 				}

@@ -9,6 +9,7 @@ import (
 	"popstab/internal/match"
 	"popstab/internal/pool"
 	"popstab/internal/population"
+	"popstab/internal/prng"
 	"popstab/internal/protocol"
 )
 
@@ -159,18 +160,21 @@ func TestScratchGrowthSlack(t *testing.T) {
 	}
 }
 
-// poolRecorder is a Matcher that records the pool the engine hands it
-// through the match.PoolSetter seam.
+// poolRecorder is a spatial Matcher that records the pool the engine hands
+// it at Bind.
 type poolRecorder struct {
-	match.Matcher
+	*match.Torus
 	got *pool.Pool
 }
 
-func (r *poolRecorder) SetPool(p *pool.Pool) { r.got = p }
+func (r *poolRecorder) Bind(pop *population.Population, src *prng.Source, p *pool.Pool) {
+	r.got = p
+	r.Torus.Bind(pop, src, p)
+}
 
-// TestEngineWiresMatcherPool pins the PoolSetter plumbing: the engine hands
-// matchers that shard their own matching phase a pool sized to its resolved
-// worker count (including the NumCPU default for Workers = 0).
+// TestEngineWiresMatcherPool pins the Bind plumbing: the engine hands a
+// spatial matcher, which shards its own matching phase, a pool sized to its
+// resolved worker count (including the NumCPU default for Workers = 0).
 func TestEngineWiresMatcherPool(t *testing.T) {
 	p := fastParams(t)
 	for _, workers := range []int{0, 1, 3} {
@@ -178,11 +182,11 @@ func TestEngineWiresMatcherPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := match.NewUniform(p.Gamma)
+		tor, err := match.NewTorus(0.015625)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &poolRecorder{Matcher: match.FromScheduler(u)}
+		rec := &poolRecorder{Torus: tor}
 		e, err := New(Config{Params: p, Protocol: pr, Seed: 1, Workers: workers, Matcher: rec})
 		if err != nil {
 			t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"popstab/internal/adversary"
-	"popstab/internal/match"
 	"popstab/internal/wire"
 )
 
@@ -112,9 +111,8 @@ func (e *Engine) Snapshot() []byte {
 	}()
 	enc := wire.NewEnc()
 
-	matcherState, _ := e.matcher.(match.Stateful)
 	progState := e.programCodec()
-	advState, _ := e.adv.(adversary.Stateful)
+	advStateful := adversary.HasState(e.adv)
 
 	// Identity: enough configuration fingerprint to reject a restore into
 	// a differently-built engine with a clear error instead of corrupt
@@ -131,9 +129,9 @@ func (e *Engine) Snapshot() []byte {
 	// attack windows), recursively through the wrappers.
 	enc.String(adversary.FingerprintOf(e.adv))
 	enc.Bool(e.xproto != nil)
-	enc.Bool(matcherState != nil)
+	enc.Bool(e.sp != nil)
 	enc.Bool(progState != nil)
-	enc.Bool(advState != nil)
+	enc.Bool(advStateful)
 	enc.End()
 
 	enc.Begin(tagEngine)
@@ -150,9 +148,9 @@ func (e *Engine) Snapshot() []byte {
 	e.pop.EncodeState(enc)
 	enc.End()
 
-	if matcherState != nil {
+	if e.sp != nil {
 		enc.Begin(tagMatcher)
-		matcherState.EncodeState(enc)
+		e.sp.EncodeState(enc)
 		enc.End()
 	}
 	if progState != nil {
@@ -160,9 +158,9 @@ func (e *Engine) Snapshot() []byte {
 		progState.EncodeState(enc)
 		enc.End()
 	}
-	if advState != nil {
+	if advStateful {
 		enc.Begin(tagAdversary)
-		advState.EncodeState(enc)
+		adversary.EncodeState(e.adv, enc)
 		enc.End()
 	}
 	return enc.Finish()
@@ -181,9 +179,8 @@ func (e *Engine) Restore(data []byte) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 
-	matcherState, _ := e.matcher.(match.Stateful)
 	progState := e.programCodec()
-	advState, _ := e.adv.(adversary.Stateful)
+	advStateful := adversary.HasState(e.adv)
 
 	d.Begin(tagIdentity)
 	seed := d.U64()
@@ -218,11 +215,11 @@ func (e *Engine) Restore(data []byte) error {
 		return fmt.Errorf("sim: snapshot adversary %q, engine has %q", advName, adversary.FingerprintOf(e.adv))
 	case extended != (e.xproto != nil):
 		return fmt.Errorf("sim: snapshot program shape (extended=%v) does not match engine", extended)
-	case hasMatcher != (matcherState != nil):
+	case hasMatcher != (e.sp != nil):
 		return fmt.Errorf("sim: snapshot matcher-state presence does not match engine")
 	case hasProg != (progState != nil):
 		return fmt.Errorf("sim: snapshot program-state presence does not match engine")
-	case hasAdv != (advState != nil):
+	case hasAdv != advStateful:
 		return fmt.Errorf("sim: snapshot adversary-state presence does not match engine")
 	}
 
@@ -246,9 +243,9 @@ func (e *Engine) Restore(data []byte) error {
 	}
 	d.End()
 
-	if matcherState != nil {
+	if e.sp != nil {
 		d.Begin(tagMatcher)
-		if err := matcherState.DecodeState(d); err != nil {
+		if err := e.sp.DecodeState(d); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 		d.End()
@@ -260,9 +257,9 @@ func (e *Engine) Restore(data []byte) error {
 		}
 		d.End()
 	}
-	if advState != nil {
+	if advStateful {
 		d.Begin(tagAdversary)
-		if err := advState.DecodeState(d); err != nil {
+		if err := adversary.DecodeState(e.adv, d); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
 		d.End()

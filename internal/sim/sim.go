@@ -142,7 +142,7 @@ type Config struct {
 	Scheduler match.Scheduler
 	// Matcher is the population-state-aware communication model (e.g.
 	// match.Torus); it overrides Scheduler. Matchers implementing
-	// match.Binder are bound to the population at construction.
+	// match.Spatial are bound to the population at construction.
 	Matcher match.Matcher
 	// Adversary attacks each round. Defaults to adversary.None.
 	Adversary adversary.Adversary
@@ -203,15 +203,13 @@ type Engine struct {
 	cfg     Config
 	pop     *population.Population
 	matcher match.Matcher
-	// space is the matcher's spatial self-description (nil for non-spatial
-	// matchers): the engine threads it into the adversary's View and Budget
-	// so positions are adversary-visible state, per the model.
-	space match.Space
-	adv   adversary.Adversary
-	// preb is the matcher's prebucket seam (nil when the matcher has none):
-	// rounds with an adversary turn overlap the spatial bucketing phase with
-	// the serial adversary staging (DESIGN.md §12).
-	preb    match.Prebucketer
+	// sp is the matcher's spatial seam (nil for non-spatial matchers). The
+	// engine threads its positions and metric into the adversary's View and
+	// Budget, so positions are adversary-visible state, per the model;
+	// overlaps its bucketing phase with the serial adversary staging
+	// (DESIGN.md §12); and snapshots its state (DESIGN.md §8).
+	sp      match.Spatial
+	adv     adversary.Adversary
 	workers int
 	// pool is the persistent worker pool behind every sharded phase
 	// (compose/step, the apply-plan scatter, the spatial matching pipeline,
@@ -279,8 +277,8 @@ func New(cfg Config) (*Engine, error) {
 
 // buildEngine validates cfg and assembles the engine over pop (freshly built
 // when nil). Randomness streams are split from the root in a fixed order —
-// protocol key, scheduler, adversary, binder — so adding components never
-// perturbs earlier streams.
+// protocol key, scheduler, adversary, matcher bind — so adding components
+// never perturbs earlier streams.
 func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	if (cfg.Protocol == nil) == (cfg.Extended == nil) {
 		return nil, errors.New("sim: exactly one of Config.Protocol and Config.Extended is required")
@@ -349,16 +347,13 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 
 	// The persistent worker pool behind every sharded phase. It is threaded
 	// to the population (apply-plan scatter, bulk snapshot encode), to every
-	// pool-aware tracker side-array, to the pairing buffers, and to matchers
-	// that shard their matching phase. The cleanup releases the pool's parked
+	// pool-aware tracker side-array, to the pairing buffers, and, at Bind,
+	// to a spatial matcher's pipeline. The cleanup releases the pool's parked
 	// goroutines when an engine is dropped without Close — internal/serve
 	// hibernates and reaps sessions by unreferencing them.
 	e.pool = pool.New(workers)
 	e.pop.SetPool(e.pool)
 	e.pairing.SetPool(e.pool)
-	if ps, ok := matcher.(match.PoolSetter); ok {
-		ps.SetPool(e.pool)
-	}
 	runtime.AddCleanup(e, func(p *pool.Pool) { p.Close() }, e.pool)
 
 	root := prng.New(cfg.Seed)
@@ -366,17 +361,16 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	e.schedSrc = root.Split()
 	e.advSrc = root.Split()
 	bindSrc := root.Split()
-	if b, ok := matcher.(match.Binder); ok {
-		b.Bind(e.pop, bindSrc)
+	// A spatial matcher binds to the population with its own stream and the
+	// engine's pool; strategies that act on the communication model itself
+	// (adversary.RewireAdversary) then receive the bound matcher. Binding
+	// the adversary is pure wiring — no randomness is consumed, so
+	// position-blind configurations are bit-identical to the pre-seam engine.
+	if sp, ok := matcher.(match.Spatial); ok {
+		e.sp = sp
+		sp.Bind(e.pop, bindSrc, e.pool)
 	}
-	// Spatial matchers expose their positions and metric to the adversary
-	// seam; strategies that act on the communication model itself
-	// (adversary.RewireAdversary) receive the bound matcher. Both are pure
-	// wiring — no randomness is consumed, so position-blind configurations
-	// are bit-identical to the pre-seam engine.
-	e.space, _ = matcher.(match.Space)
-	e.preb, _ = matcher.(match.Prebucketer)
-	adversary.BindMatcherTo(e.adv, matcher)
+	adversary.BindMatcher(e.adv, matcher)
 	e.initAllocSamples()
 	return e, nil
 }
@@ -448,8 +442,8 @@ func (e *Engine) adversaryTurn(rep *RoundReport) {
 // bucketing phase (DESIGN.md §12).
 func (e *Engine) stageAdversary() *adversary.Budget {
 	budget := adversary.NewBudget(e.cfg.K, e.pop.Len(), e.epochLen)
-	if e.space != nil {
-		budget.BindSpace(e.space.Positions().Slice(), e.space.Dist2)
+	if e.sp != nil {
+		budget.BindSpace(e.sp.Positions().Slice(), e.sp.Dist2)
 	}
 	e.adv.Act(engineView{e}, budget, e.advSrc)
 	return budget
@@ -464,8 +458,8 @@ func (e *Engine) applyAdversary(budget *adversary.Budget, rep *RoundReport) (alt
 	deleted := e.pop.DeleteDescending(budget.Deletions())
 	rep.AdvDeleted += deleted
 	for _, ins := range budget.Inserts() {
-		if ins.Placed && e.space != nil {
-			e.space.Positions().QueuePlacement(ins.At)
+		if ins.Placed && e.sp != nil {
+			e.sp.Positions().QueuePlacement(ins.At)
 		}
 		e.pop.Insert(ins.State)
 	}
@@ -495,12 +489,12 @@ func (e *Engine) RunRound() RoundReport {
 	// bit-identical either way (DESIGN.md §12).
 	if !e.cfg.AdversaryAfterStep {
 		t := time.Now()
-		if e.cfg.K > 0 && e.preb != nil {
-			wait := e.pool.Go(func() { e.preb.PreBucket(e.pop.Len()) })
+		if e.cfg.K > 0 && e.sp != nil {
+			wait := e.pool.Go(func() { e.sp.PreBucket(e.pop.Len()) })
 			budget := e.stageAdversary()
 			wait()
 			if e.applyAdversary(budget, &rep) {
-				e.preb.DropPrebucket()
+				e.sp.DropPrebucket()
 			}
 		} else {
 			e.adversaryTurn(&rep)
@@ -751,32 +745,32 @@ func (v engineView) Find(dst []int, limit int, pred func(agent.State) bool) []in
 // The spatial View methods surface the matcher's positions and metric; on a
 // non-spatial matcher they are the Flatland defaults.
 
-func (v engineView) HasSpace() bool { return v.e.space != nil }
+func (v engineView) HasSpace() bool { return v.e.sp != nil }
 
 func (v engineView) Pos(i int) population.Point {
-	if v.e.space == nil {
+	if v.e.sp == nil {
 		return population.Point{}
 	}
-	return v.e.space.Positions().At(i)
+	return v.e.sp.Positions().At(i)
 }
 
 func (v engineView) Dist2(a, b population.Point) float64 {
-	if v.e.space == nil {
+	if v.e.sp == nil {
 		return 0
 	}
-	return v.e.space.Dist2(a, b)
+	return v.e.sp.Dist2(a, b)
 }
 
 func (v engineView) FindNear(dst []int, limit int, center population.Point, r float64) []int {
-	if v.e.space == nil {
+	if v.e.sp == nil {
 		return dst
 	}
 	r2 := r * r
-	for i, pt := range v.e.space.Positions().Slice() {
+	for i, pt := range v.e.sp.Positions().Slice() {
 		if limit >= 0 && len(dst) >= limit {
 			break
 		}
-		if v.e.space.Dist2(center, pt) <= r2 {
+		if v.e.sp.Dist2(center, pt) <= r2 {
 			dst = append(dst, i)
 		}
 	}
@@ -784,13 +778,13 @@ func (v engineView) FindNear(dst []int, limit int, center population.Point, r fl
 }
 
 func (v engineView) CountNear(center population.Point, r float64) int {
-	if v.e.space == nil {
+	if v.e.sp == nil {
 		return -1
 	}
 	n := 0
 	r2 := r * r
-	for _, pt := range v.e.space.Positions().Slice() {
-		if v.e.space.Dist2(center, pt) <= r2 {
+	for _, pt := range v.e.sp.Positions().Slice() {
+		if v.e.sp.Dist2(center, pt) <= r2 {
 			n++
 		}
 	}
@@ -798,8 +792,8 @@ func (v engineView) CountNear(center population.Point, r float64) int {
 }
 
 func (v engineView) PatchPoint(center population.Point, r float64, src *prng.Source) population.Point {
-	if v.e.space == nil {
+	if v.e.sp == nil {
 		return center
 	}
-	return v.e.space.PatchPoint(center, r, src)
+	return v.e.sp.PatchPoint(center, r, src)
 }

@@ -536,8 +536,8 @@ func (s *Sim) Close() { s.eng.Close() }
 // popbench's per-phase throughput breakdown reads it; nothing feeds back
 // into the simulation.
 func (s *Sim) MatchStats() (stats MatchPipelineStats, ok bool) {
-	if r, isSpatial := s.eng.Matcher().(match.PhaseReporter); isSpatial {
-		return r.PipelineStats(), true
+	if sp, isSpatial := s.eng.Matcher().(match.Spatial); isSpatial {
+		return sp.PipelineStats(), true
 	}
 	return MatchPipelineStats{}, false
 }
